@@ -94,8 +94,8 @@ def test_state_cache_speedup(sample, once, report):
             hits = saved = 0
             for contract in sample:
                 fuzzer = Fuzzer(contract.artifact, mufuzz_config(
-                    iterations=iterations, rng_seed=44,
-                    use_state_cache=use_cache))
+                    iterations=iterations, rng_seed=44),
+                    disable=() if use_cache else ("state_cache",))
                 result = fuzzer.run()
                 steps += result.total_steps
                 cov += result.coverage

@@ -107,8 +107,8 @@ def _replay_throughput(contracts, iters: int) -> dict:
     executions = 0
     for contract in contracts:
         fuzzer = Fuzzer(contract.artifact,
-                        mufuzz_config(iterations=iters, rng_seed=7,
-                                      use_state_cache=False))
+                        mufuzz_config(iterations=iters, rng_seed=7),
+                        disable=("state_cache",))
         seed = fuzzer._fresh_seed()
         start = time.perf_counter()
         for _ in range(iters):
@@ -128,8 +128,8 @@ def _campaign_throughput(contracts, iters: int) -> dict:
     executions = 0
     for contract in contracts:
         fuzzer = Fuzzer(contract.artifact,
-                        mufuzz_config(iterations=iters, rng_seed=7,
-                                      use_state_cache=False))
+                        mufuzz_config(iterations=iters, rng_seed=7),
+                        disable=("state_cache",))
         start = time.perf_counter()
         result = fuzzer.run()
         elapsed += time.perf_counter() - start
@@ -162,8 +162,8 @@ def _telemetry_overhead(contracts, iters: int) -> dict:
     try:
         for contract in contracts:
             fuzzer = Fuzzer(contract.artifact,
-                            mufuzz_config(iterations=iters, rng_seed=7,
-                                          use_state_cache=False))
+                            mufuzz_config(iterations=iters, rng_seed=7),
+                            disable=("state_cache",))
             seed = fuzzer._fresh_seed()
             fuzzer._execute(seed)  # warm the analysis/compile caches
             for round_no in range(rounds):
@@ -226,8 +226,8 @@ def _state_cache_series(contracts, iters: int) -> dict:
             elapsed = {}
             for arm in arms:
                 fuzzer = Fuzzer(contract.artifact, mufuzz_config(
-                    iterations=iters, rng_seed=7,
-                    use_state_cache=arm == "on"))
+                    iterations=iters, rng_seed=7),
+                    disable=() if arm == "on" else ("state_cache",))
                 start = time.perf_counter()
                 result = fuzzer.run()
                 elapsed[arm] = time.perf_counter() - start
@@ -285,8 +285,8 @@ def _surface_pruning_series(contracts, iters: int) -> dict:
             elapsed = {}
             for arm in arms:
                 fuzzer = Fuzzer(contract.artifact, mufuzz_config(
-                    iterations=iters, rng_seed=7,
-                    use_surface_pruning=arm == "on"))
+                    iterations=iters, rng_seed=7),
+                    disable=() if arm == "on" else ("surface_pruning",))
                 start = time.perf_counter()
                 fuzzer.run()
                 elapsed[arm] = time.perf_counter() - start
@@ -339,9 +339,9 @@ def _block_fusion_series(contracts, iters: int) -> dict:
             elapsed = {}
             for arm in arms:
                 fuzzer = Fuzzer(contract.artifact, mufuzz_config(
-                    iterations=iters, rng_seed=7,
-                    use_state_cache=False,
-                    use_block_fusion=arm == "on"))
+                    iterations=iters, rng_seed=7),
+                    disable=(("state_cache",) if arm == "on"
+                             else ("state_cache", "block_fusion")))
                 start = time.perf_counter()
                 result = fuzzer.run()
                 elapsed[arm] = time.perf_counter() - start

@@ -13,6 +13,7 @@ from repro.chain import Chain, ReentrantAgent
 from repro.chain.transactions import Transaction
 from repro.compiler import compile_source, encode_call
 from repro.oracles import OracleContext
+from repro.oracles.bus import OracleBus
 from repro.oracles.reentrancy import ReentrancyOracle
 
 VAULT = """
@@ -59,6 +60,13 @@ def main() -> None:
                             value=1 * 10 ** 18, data=encode_call(join, [])))
 
     print("3. attacker arms its fallback to re-call redeem() and withdraws")
+    # the RE oracle watches this transaction: the bus streams it every
+    # call event while the attack executes
+    ctx = OracleContext(artifact=artifact, address=vault.address,
+                        deployer=VICTIM,
+                        attacker_addresses=frozenset({ATTACKER}))
+    bus = OracleBus([ReentrancyOracle()], ctx)
+    chain.oracle_bus = bus
     agent.arm(encode_call(redeem, []))
     attacker_before = chain.world.get_balance(ATTACKER)
     receipt = chain.apply(Transaction(sender=ATTACKER, to=vault.address,
@@ -73,11 +81,7 @@ def main() -> None:
     print("   attacker gained     :", ether(stolen),
           "(deposited only 1 ETH)")
 
-    oracle = ReentrancyOracle()
-    ctx = OracleContext(artifact=artifact, address=vault.address,
-                        deployer=VICTIM,
-                        attacker_addresses=frozenset({ATTACKER}))
-    findings = list(oracle.on_receipt(receipt, ctx))
+    findings = bus.end_transaction(receipt)
     print()
     print("RE oracle verdict:")
     for finding in findings:

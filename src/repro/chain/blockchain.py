@@ -72,7 +72,7 @@ class Chain:
         #: oracles observe transactions, not constructor runs)
         self.oracle_bus = oracle_bus
         #: block-fusion tier toggle forwarded to every Machine; None defers
-        #: to the library default (REPRO_BLOCK_FUSION)
+        #: to the library default (REPRO_DISABLE, see repro.layers)
         self.block_fusion = block_fusion
         self._next_contract = CONTRACT_ADDRESS_BASE
         self.receipts: list[TransactionReceipt] = []

@@ -82,31 +82,7 @@ def build_parser() -> argparse.ArgumentParser:
                            "all nine, 'none' = coverage only). The "
                            "machine skips materializing trace events no "
                            "selected oracle subscribes to")
-    fuzz.add_argument("--state-cache", action=argparse.BooleanOptionalAction,
-                      default=None,
-                      help="prefix-snapshot state cache: memoize "
-                           "post-prefix chain states and fast-forward "
-                           "shared prefixes instead of re-executing them "
-                           "(default: on; a pure performance layer — "
-                           "results are byte-identical either way)")
-    fuzz.add_argument("--surface-pruning",
-                      action=argparse.BooleanOptionalAction, default=None,
-                      help="drop oracles whose bug class the vulnerability "
-                           "surface proves impossible (whole-code opcode "
-                           "absence, never a reachability heuristic) "
-                           "(default: on; results are byte-identical "
-                           "either way)")
-    fuzz.add_argument("--state-cache-capacity", type=int, default=None,
-                      metavar="N",
-                      help="memoized prefix states to keep (default: 64; "
-                           "leaf-first LRU eviction beyond that)")
-    fuzz.add_argument("--block-fusion",
-                      action=argparse.BooleanOptionalAction, default=None,
-                      help="block-fused EVM execution: compile basic "
-                           "blocks into superinstruction closures with "
-                           "per-block gas prepay, constant folding, and "
-                           "threaded jumps (default: on; results are "
-                           "byte-identical either way)")
+    _add_layer_options(fuzz)
     fuzz.add_argument("--metrics", default=None, metavar="FILE",
                       help="collect telemetry during the campaign "
                            "(provably inert: results are byte-identical "
@@ -168,46 +144,25 @@ def build_parser() -> argparse.ArgumentParser:
                            "measured from dispatch to a worker process — "
                            "a worker's first job also absorbs ~1s of "
                            "interpreter startup (every job does under "
-                           "--backend spawn)")
-    camp.add_argument("--backend", choices=("pool", "spawn", "inline"),
+                           "--recycle-after 1)")
+    camp.add_argument("--backend", choices=("pool", "inline"),
                       default=None,
                       help="execution backend (default: pool — persistent "
                            "workers with per-worker compile caches; inline "
                            "auto-selected at --workers 1 with no timeout). "
-                           "spawn = one process per job, maximum "
-                           "isolation; inline = no subprocesses. Results "
-                           "are byte-identical across backends")
+                           "inline = no subprocesses. Results are "
+                           "byte-identical across backends")
     camp.add_argument("--recycle-after", type=int, default=None,
                       metavar="K",
                       help="pool backend: retire and respawn each worker "
                            "after K jobs to bound per-process memory "
-                           "growth")
+                           "growth (1 = a fresh process per job, the "
+                           "strongest isolation)")
     camp.add_argument("--oracles", default=None, metavar="CLASSES",
                       help="restrict every campaign to these bug classes "
                            "(comma-separated codes, e.g. RE,IO; 'all' = "
                            "all nine, 'none' = coverage only)")
-    camp.add_argument("--state-cache", action=argparse.BooleanOptionalAction,
-                      default=None,
-                      help="pin the prefix-snapshot state cache on or off "
-                           "for every campaign in the matrix (default: "
-                           "the config default, on; results are "
-                           "byte-identical either way)")
-    camp.add_argument("--state-cache-capacity", type=int, default=None,
-                      metavar="N",
-                      help="per-campaign memoized prefix states to keep "
-                           "(default: 64)")
-    camp.add_argument("--block-fusion",
-                      action=argparse.BooleanOptionalAction, default=None,
-                      help="pin block-fused EVM execution on or off for "
-                           "every campaign in the matrix (default: the "
-                           "config default, on; results are byte-identical "
-                           "either way)")
-    camp.add_argument("--surface-pruning",
-                      action=argparse.BooleanOptionalAction, default=None,
-                      help="pin surface-proof oracle pruning on or off for "
-                           "every campaign in the matrix (default: the "
-                           "config default, on; results are byte-identical "
-                           "either way)")
+    _add_layer_options(camp)
     camp.add_argument("--telemetry", action="store_true",
                       help="collect per-job telemetry and worker "
                            "heartbeats; with --results-dir the scheduler "
@@ -284,6 +239,40 @@ def build_parser() -> argparse.ArgumentParser:
     corpus.add_argument("--count", type=int, default=10)
     corpus.add_argument("--show-source", action="store_true")
     return parser
+
+
+def _add_layer_options(cmd) -> None:
+    """The perf-layer options ``fuzz`` and ``campaign`` share."""
+    cmd.add_argument("--disable", default=None, metavar="LAYERS",
+                     help="switch perf layers off (comma-separated: "
+                          "block_fusion, state_cache, surface_pruning, or "
+                          "'all'; default: $REPRO_DISABLE, else none). The "
+                          "layers only make campaigns faster: results are "
+                          "byte-identical either way")
+    cmd.add_argument("--state-cache-capacity", type=int, default=None,
+                     metavar="N",
+                     help="memoized prefix states the state cache keeps "
+                          "per campaign (default: 64; leaf-first LRU "
+                          "eviction beyond that)")
+
+
+def _layer_settings(args) -> tuple:
+    """(disabled layers, config overrides) from the perf-layer options;
+    the layers are None when ``--disable`` is absent, which defers to
+    ``REPRO_DISABLE``.  Raises ``ValueError`` naming the bad option."""
+    from repro import layers
+
+    overrides = {}
+    if args.state_cache_capacity is not None:
+        if args.state_cache_capacity < 1:
+            raise ValueError("--state-cache-capacity must be >= 1")
+        overrides["state_cache_capacity"] = args.state_cache_capacity
+    try:
+        disable = (None if args.disable is None
+                   else layers.parse(args.disable))
+    except ValueError as exc:
+        raise ValueError(f"--disable: {exc}") from None
+    return disable, overrides
 
 
 def _load(args) -> object:
@@ -389,17 +378,12 @@ def cmd_fuzz(args) -> int:
         return 2
     if bug_classes is not None:
         overrides["bug_classes"] = bug_classes
-    if args.state_cache is not None:
-        overrides["use_state_cache"] = args.state_cache
-    if args.state_cache_capacity is not None:
-        if args.state_cache_capacity < 1:
-            log.error("error: --state-cache-capacity must be >= 1")
-            return 2
-        overrides["state_cache_capacity"] = args.state_cache_capacity
-    if args.surface_pruning is not None:
-        overrides["use_surface_pruning"] = args.surface_pruning
-    if args.block_fusion is not None:
-        overrides["use_block_fusion"] = args.block_fusion
+    try:
+        disable, layer_overrides = _layer_settings(args)
+    except ValueError as exc:
+        log.error(f"error: {exc}")
+        return 2
+    overrides.update(layer_overrides)
     config = PRESET_CONFIGS[args.fuzzer](rng_seed=args.seed, **overrides)
 
     session = None
@@ -424,14 +408,15 @@ def cmd_fuzz(args) -> int:
             return 2
         if args.resume:
             if checkpoint is not None:
-                fuzzer = Fuzzer.resume(checkpoint, artifact=artifact)
+                fuzzer = Fuzzer.resume(checkpoint, artifact=artifact,
+                                       disable=disable)
                 log.info(f"resumed from {session.path} "
                          f"at execution {fuzzer.executions}")
             else:
                 log.info(f"no matching checkpoint at {session.path}; "
                          f"starting fresh")
     if fuzzer is None:
-        fuzzer = Fuzzer(artifact, config)
+        fuzzer = Fuzzer(artifact, config, disable=disable)
 
     run_kwargs = session.run_kwargs() if session else {}
     if args.metrics:
@@ -507,9 +492,13 @@ def cmd_campaign(args) -> int:
     except ValueError as exc:
         log.error(f"error: --oracles: {exc}")
         return 2
-    if args.state_cache_capacity is not None and args.state_cache_capacity < 1:
-        log.error("error: --state-cache-capacity must be >= 1")
+    try:
+        disable, overrides = _layer_settings(args)
+    except ValueError as exc:
+        log.error(f"error: {exc}")
         return 2
+    overrides["iterations"] = _resolve_iterations(args,
+                                                  default_iterations=100)
     contracts = _campaign_contracts(args)
     workers = resolve_workers(args.workers)
     if args.backend is None and args.recycle_after:
@@ -518,7 +507,7 @@ def cmd_campaign(args) -> int:
         backend = args.backend or backend_for(workers, args.job_timeout)
     if backend == "inline" and args.job_timeout is not None:
         log.error("error: the inline backend cannot enforce "
-                  "--job-timeout; use --backend pool or spawn")
+                  "--job-timeout; use --backend pool")
         return 2
     if args.recycle_after is not None and args.recycle_after < 0:
         log.error("error: --recycle-after must be >= 1 "
@@ -566,19 +555,13 @@ def cmd_campaign(args) -> int:
 
     run = run_matrix(
         contracts, presets=args.fuzzers, trials=args.trials,
-        base_seed=args.seed,
-        overrides={"iterations": _resolve_iterations(
-            args, default_iterations=100)},
+        base_seed=args.seed, overrides=overrides,
         time_budget=args.time_budget, tx_budget=args.tx_budget,
         workers=workers, results_dir=args.results_dir,
         job_timeout=args.job_timeout, progress=progress,
         backend=backend, recycle_after=args.recycle_after,
         checkpoint_every=args.checkpoint_every, oracles=oracles,
-        state_cache=args.state_cache,
-        state_cache_capacity=args.state_cache_capacity,
-        surface_pruning=args.surface_pruning,
-        block_fusion=args.block_fusion,
-        telemetry=telemetry, store=args.store)
+        disable=disable, telemetry=telemetry, store=args.store)
 
     if run.results_dir is not None:
         backend_note = ((run.stats.store or {}).get("backend")

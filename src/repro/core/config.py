@@ -8,7 +8,7 @@ here.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, fields, replace
 
 #: sequence construction strategies (§IV-A and baselines' documented behaviour)
 SEQ_RANDOM = "random"                  # sFuzz: random ordering
@@ -75,31 +75,10 @@ class FuzzerConfig:
     # which is how real fuzzers cover the dispatcher's failure edges
     fallback_probability: float = 0.05
 
-    # §VI future-work optimization: the prefix-snapshot tree memoizes
-    # post-prefix chain states as journal redo deltas and fast-forwards
-    # shared prefixes instead of re-executing them.  On by default: the
-    # cache is a pure performance layer (campaign results are
-    # byte-identical with it on or off — the golden-fixture guard pins
-    # this), so the benchmarked behaviour stays faithful to the paper
-    # while iterations get cheaper.
-    use_state_cache: bool = True
+    # memoized prefix states the §VI prefix-snapshot tree keeps (the
+    # ``state_cache`` perf layer; whether a layer runs is not config — see
+    # repro.layers)
     state_cache_capacity: int = 64
-
-    # Vulnerability-surface oracle pruning: oracles whose bug class the
-    # static surface *proves* impossible (whole-code opcode absence, never
-    # reachability — see repro.analysis.surface) are dropped from the bus,
-    # so their event kinds are never materialized.  On by default and
-    # opt-out (--no-surface-pruning): the golden-fixture guard pins
-    # campaign results byte-identical with pruning on or off.
-    use_surface_pruning: bool = True
-
-    # Block-fused EVM execution: basic blocks compile to superinstruction
-    # closures (per-block gas/step prepay, baked PUSH immediates, constant
-    # folding, threaded PUSH+JUMP links — see repro.evm.fusion).  On by
-    # default and opt-out (--no-block-fusion / REPRO_BLOCK_FUSION=0): a
-    # pure performance tier, pinned byte-identical on or off by the
-    # golden-fixture guard.
-    use_block_fusion: bool = True
 
     # execution environment
     tx_gas: int = 5_000_000
@@ -117,6 +96,15 @@ class FuzzerConfig:
     def variant(self, **overrides) -> "FuzzerConfig":
         """A copy with some knobs replaced (used by the ablation bench)."""
         return replace(self, **overrides)
+
+
+def config_from_dict(data: dict) -> FuzzerConfig:
+    """Rebuild a config from its ``dataclasses.asdict`` form, as result
+    records and checkpoints store it.  Fields this version no longer has
+    (records written before the per-layer switches moved to
+    :mod:`repro.layers` carry three) are dropped."""
+    known = {f.name for f in fields(FuzzerConfig)}
+    return FuzzerConfig(**{k: v for k, v in data.items() if k in known})
 
 
 def normalize_bug_classes(value) -> tuple | None:

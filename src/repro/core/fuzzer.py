@@ -34,6 +34,7 @@ from __future__ import annotations
 import random
 from time import perf_counter as _perf_counter
 
+from repro import layers
 from repro.analysis.dataflow import analyze_contract
 from repro.analysis.surface import SurfaceDataflow, surface_for
 from repro.analysis.distance import distances_from_trace
@@ -45,7 +46,12 @@ from repro.compiler.abi import encode_call, encode_words
 from repro.compiler.artifacts import CompiledContract
 from repro.compiler.codegen import compile_source
 from repro.core.campaign import CampaignResult
-from repro.core.config import ENERGY_DYNAMIC, FuzzerConfig, mufuzz_config
+from repro.core.config import (
+    ENERGY_DYNAMIC,
+    FuzzerConfig,
+    config_from_dict,
+    mufuzz_config,
+)
 from repro.core.coverage import CoverageTracker
 from repro.core.energy import EnergyScheduler
 from repro.core.inputs import InputGenerator
@@ -122,19 +128,22 @@ class Fuzzer:
 
     def __init__(self, artifact: CompiledContract | str,
                  config: FuzzerConfig | None = None,
-                 supported_bug_classes=None) -> None:
+                 supported_bug_classes=None, disable=None) -> None:
         if isinstance(artifact, str):
             artifact = compile_source(artifact)
         self.artifact = artifact
         self.config = config if config is not None else mufuzz_config()
         self.supported_bug_classes = supported_bug_classes
+        #: the perf layers switched off for this campaign (``disable``, or
+        #: ``REPRO_DISABLE`` when None; see :mod:`repro.layers`)
+        self.disabled_layers = layers.resolve(disable)
         self.rng = random.Random(self.config.rng_seed)
         self.budget = Budget.from_config(self.config)
         #: the static vulnerability surface (process-cached per bytecode):
         #: liveness proofs gate oracle pruning, the constant harvest feeds
         #: the mutation dictionary, and candidate pcs feed the prefix
         #: analyzer — the facts are computed whether or not pruning is on,
-        #: so ``use_surface_pruning`` toggles *only* the oracle drop
+        #: so the ``surface_pruning`` layer toggles *only* the oracle drop
         self.surface = surface_for(artifact.runtime_code)
         if artifact.contract_ast is not None:
             self.dataflow = analyze_contract(artifact.contract_ast)
@@ -157,8 +166,9 @@ class Fuzzer:
 
         self.queue = SeedQueue()
         self.retention = RetentionPolicy(self.queue)
-        self.state_cache = (PrefixStateCache(self.config.state_cache_capacity)
-                            if self.config.use_state_cache else None)
+        self.state_cache = (
+            None if "state_cache" in self.disabled_layers
+            else PrefixStateCache(self.config.state_cache_capacity))
         self._setup_chain()
         self.coverage = CoverageTracker(artifact=artifact,
                                         address=self.address)
@@ -179,8 +189,8 @@ class Fuzzer:
         #: Surface pruning drops oracles whose bug class the static layer
         #: proved impossible (whole-code opcode absence), shrinking the
         #: mask further; results stay byte-identical by construction.
-        dead = (self.surface.dead_set() if self.config.use_surface_pruning
-                else frozenset())
+        dead = (frozenset() if "surface_pruning" in self.disabled_layers
+                else self.surface.dead_set())
         self.bus = OracleBus(self.oracles, self.ctx, self.collector,
                              dead_classes=dead)
         _T_SURFACE_PRUNED.add(len(self.bus.pruned))
@@ -219,7 +229,7 @@ class Fuzzer:
 
     def _setup_chain(self) -> None:
         chain = Chain(max_steps=self.config.max_steps_per_tx,
-                      block_fusion=self.config.use_block_fusion)
+                      block_fusion="block_fusion" not in self.disabled_layers)
         chain.create_account(DEPLOYER)
         chain.create_account(USER_1)
         chain.create_account(USER_2)
@@ -288,7 +298,7 @@ class Fuzzer:
 
         The base chain is journal-reset to the post-deployment snapshot
         (O(slots touched by the previous iteration), not a deep copy of the
-        world).  With ``use_state_cache`` (§VI future-work optimization) the
+        world).  With the state cache (§VI future-work optimization) the
         longest memoized transaction prefix is fast-forwarded instead of
         re-executed: the snapshot tree replays each skipped transaction's
         journal redo delta onto the freshly reset chain, re-dispatches its
@@ -521,13 +531,14 @@ class Fuzzer:
 
     @classmethod
     def resume(cls, checkpoint, artifact: CompiledContract | str | None = None,
-               ) -> "Fuzzer":
+               disable=None) -> "Fuzzer":
         """Reconstruct a mid-flight campaign from a checkpoint.
 
         ``artifact`` (compiled contract or MiniSol source) may be omitted
         when the checkpoint embeds its source.  Call :meth:`run` on the
         returned fuzzer to continue; the eventual result is byte-identical
-        (modulo ``wall_time``) to an uninterrupted campaign.
+        (modulo ``wall_time``) to an uninterrupted campaign, whatever perf
+        layers either run had ``disable``-d.
         """
         if isinstance(checkpoint, dict):
             checkpoint = CampaignCheckpoint.from_dict(checkpoint)
@@ -552,11 +563,11 @@ class Fuzzer:
             raise ValueError(
                 f"checkpoint belongs to contract "
                 f"{checkpoint.contract!r}, not {artifact.name!r}")
-        config = FuzzerConfig(**checkpoint.config)
+        config = config_from_dict(checkpoint.config)
         supported = checkpoint.supported_bug_classes
         if supported is not None:
             supported = {BugClass(value) for value in supported}
-        fuzzer = cls(artifact, config, supported)
+        fuzzer = cls(artifact, config, supported, disable)
         checkpoint.restore_into(fuzzer)
         return fuzzer
 

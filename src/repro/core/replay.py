@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.compiler.cache import compile_cached
-from repro.core.config import FuzzerConfig
+from repro.core.config import FuzzerConfig, config_from_dict
 from repro.core.fuzzer import Fuzzer
 from repro.oracles.base import BugClass, Finding
 
@@ -71,7 +71,7 @@ def replay_record(record: dict) -> list:
     restriction, and the findings — everything replay needs, so a results
     directory is self-contained evidence.
     """
-    config = FuzzerConfig(**record["config"])
+    config = config_from_dict(record["config"])
     supported = record.get("supported_bug_classes")
     if supported is not None:
         supported = {BugClass(value) for value in supported}

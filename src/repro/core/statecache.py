@@ -42,9 +42,9 @@ The cache is a pure performance layer: replayed prefixes keep their
 recorded steps, their transactions still consume campaign budget, and
 their trace events are re-dispatched through the oracle bus
 (:meth:`~repro.oracles.bus.OracleBus.replay_transaction`) — campaign
-results are byte-identical with the cache on or off, which is why
-``FuzzerConfig.use_state_cache`` now defaults to True and checkpoints
-simply rebuild the cache cold on resume.
+results are byte-identical with the cache on or off, which is why it is
+on by default (the ``state_cache`` perf layer, see :mod:`repro.layers`)
+and checkpoints simply rebuild the cache cold on resume.
 """
 
 from __future__ import annotations

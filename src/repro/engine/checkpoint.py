@@ -20,7 +20,9 @@ checkpoint: it is a pure accelerator whose hits produce byte-identical
 results to cold execution, so a resumed campaign simply rebuilds it cold
 — the first post-resume visits re-learn hot prefixes and results stay
 pinned to the golden fixture either way (CI runs the interrupt/resume
-sweep with ``REPRO_STATE_CACHE=1`` to prove it).
+sweep with each perf layer disabled in turn to prove it).  No perf layer
+is part of a checkpoint, so a campaign may resume under other layers
+than it started with.
 """
 
 from __future__ import annotations

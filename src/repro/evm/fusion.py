@@ -86,9 +86,9 @@ for a different mask.
 from __future__ import annotations
 
 import hashlib
-import os
 from collections import OrderedDict
 
+from repro import layers
 from repro.analysis.absint import fold_binary
 from repro.analysis.cfg import build_cfg
 from repro.evm.analysis import (
@@ -142,11 +142,12 @@ from repro.telemetry import metrics as _metrics
 
 WORD = 1 << 256
 
-#: ``REPRO_BLOCK_FUSION=0`` disables the tier process-wide (library default
-#: when a Machine is built without an explicit ``block_fusion`` argument).
-#: Read once at import: spawn workers re-import this module, so the
-#: override propagates to every execution backend.
-_DEFAULT_ENABLED = os.environ.get("REPRO_BLOCK_FUSION", "1") != "0"
+#: ``REPRO_DISABLE=block_fusion`` turns the tier off process-wide (the
+#: library default when a Machine is built without an explicit
+#: ``block_fusion`` argument; see :mod:`repro.layers`).  Read once at
+#: import: pool workers re-import this module, so the setting reaches
+#: every worker.
+_DEFAULT_ENABLED = "block_fusion" not in layers.resolve()
 
 
 def default_enabled() -> bool:

@@ -324,10 +324,9 @@ class ExecutionTrace:
 def events_from_trace(trace: ExecutionTrace, mask: int):
     """Replay a recorded trace as a flat event stream filtered by ``mask``.
 
-    The batch adapter behind :meth:`repro.oracles.base.Oracle.on_receipt`:
-    oracles written against the streaming API can still consume a complete
-    receipt trace.  Events come out kind-major in the same per-kind order
-    the machine recorded them (reverted-subcall state effects were already
+    The order :meth:`repro.oracles.bus.OracleBus.replay_transaction` feeds
+    a memoized receipt to the oracles: kind-major, each kind in the order
+    the machine recorded it (reverted-subcall state effects were already
     pruned from the trace, so no rollback is needed here).
     """
     if mask & EV_BRANCH:

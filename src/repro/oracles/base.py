@@ -9,11 +9,9 @@ call-checked marks) is final.  State-effect events an oracle buffered
 mid-transaction are rolled back with the subcall that produced them via
 :meth:`Oracle.subcall_mark` / :meth:`Oracle.rollback_subcall` — the same
 transactional semantics :class:`~repro.evm.trace.ExecutionTrace` applies
-to its own event lists.
-
-The historical batch entry point :meth:`Oracle.on_receipt` remains: it
-replays a complete receipt trace through the streaming hooks, so tests and
-external callers that hold a receipt need no bus.
+to its own event lists.  :class:`~repro.oracles.bus.OracleBus` drives the
+hooks; attach one to a :class:`~repro.chain.blockchain.Chain` to run
+oracles outside a campaign.
 """
 
 from __future__ import annotations
@@ -23,7 +21,6 @@ from enum import Enum
 
 from repro.chain.transactions import TransactionReceipt
 from repro.compiler.artifacts import CompiledContract
-from repro.evm.trace import events_from_trace
 
 
 class BugClass(str, Enum):
@@ -162,8 +159,6 @@ class Oracle:
     * :meth:`end_transaction` — yield findings for the finished
       transaction (the receipt carries the final success flag);
     * :meth:`finalize` — whole-campaign properties, once at the end.
-
-    :meth:`on_receipt` is the batch adapter over the same hooks.
     """
 
     bug_class: BugClass
@@ -204,20 +199,6 @@ class Oracle:
 
     def finalize(self, ctx: OracleContext):
         return ()
-
-    # -- batch adapter ---------------------------------------------------------
-
-    def on_receipt(self, receipt: TransactionReceipt,
-                   ctx: OracleContext):
-        """Replay a complete receipt trace through the streaming hooks.
-
-        Reverted-subcall state effects were already pruned from the trace,
-        so no mark/rollback cycling is needed here.
-        """
-        self.begin_transaction()
-        for event in events_from_trace(receipt.trace, self.subscriptions):
-            self.on_event(event, ctx)
-        return self.end_transaction(receipt, ctx)
 
     def finding(self, ctx: OracleContext, pc: int, description: str,
                 line: int | None = None) -> Finding:

@@ -178,11 +178,9 @@ class OracleBus:
         **replay-sensitive** oracles — the ones whose cross-transaction
         state must observe every transaction, skipped or not.  One pass
         over the trace, kind-major in the canonical
-        :func:`~repro.evm.trace.events_from_trace` order, so each oracle
-        sees exactly the stream the batch adapter
-        (:meth:`~repro.oracles.base.Oracle.on_receipt`) would feed it,
-        which the parity tests pin as observationally identical to live
-        streaming.  Transaction-local oracles are not consulted at all: a
+        :func:`~repro.evm.trace.events_from_trace` order, which the parity
+        tests pin as observationally identical to live streaming.
+        Transaction-local oracles are not consulted at all: a
         prefix is memoized only after executing (and settling) live at
         least twice, so anything they would emit from this receipt is
         already in the campaign collector.  Reverted-subcall state

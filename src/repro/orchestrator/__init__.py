@@ -2,9 +2,9 @@
 
 Turns the one-shot :class:`repro.core.Fuzzer` into a scalable matrix
 runner: (contract × fuzzer preset × trial) jobs with deterministic
-per-trial seeds, pluggable execution backends (inline / spawn-per-job /
-persistent worker pool with per-worker compile caches) with per-job
-timeouts and crash isolation, canonical-JSON result persistence with
+per-trial seeds, pluggable execution backends (inline / persistent worker
+pool with per-worker compile caches) with per-job timeouts and crash
+isolation, canonical-JSON result persistence with
 fingerprint-checked resume, and trial aggregation feeding the paper-style
 reporting tables.  ``repro campaign`` on the command line and the
 coverage/bug-detection benchmarks both run on this subsystem.

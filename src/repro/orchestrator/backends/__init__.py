@@ -1,18 +1,17 @@
 """Pluggable execution backends for the campaign orchestrator.
 
-Three strategies for pushing a batch of :class:`CampaignJob`s through the
-machine, all settling byte-identical results:
+Two strategies for pushing a batch of :class:`CampaignJob`s through the
+machine, both settling byte-identical results:
 
 ``inline``
     everything in the calling process — the debugging mode and the
     determinism reference; no isolation, no timeouts.
-``spawn``
-    one OS process per job — maximum isolation, pays interpreter boot +
-    import + compile per cell.
 ``pool`` (default)
-    persistent workers pulling jobs from the scheduler, each with a warm
-    per-process compile cache — amortizes startup and compilation while
-    keeping spawn's timeout/crash guarantees via kill-and-respawn.
+    persistent worker processes pulling jobs from the scheduler, each
+    with a warm per-process compile cache, with per-job timeouts and
+    crash isolation via kill-and-respawn.  ``recycle_after=1`` gives
+    every job a fresh process: no state of any kind survives between
+    jobs, at the price of a worker boot and a cold compile per job.
 
 ``create_backend(None, ...)`` auto-selects: inline for the explicit
 single-worker no-timeout debugging mode, otherwise the pool.
@@ -29,12 +28,10 @@ from repro.orchestrator.backends.base import (
 )
 from repro.orchestrator.backends.inline import InlineBackend
 from repro.orchestrator.backends.pool import PoolBackend
-from repro.orchestrator.backends.spawn import SpawnBackend
 
 #: registry: CLI choice / ``run_matrix(backend=...)`` name -> class
 BACKENDS = {
     InlineBackend.name: InlineBackend,
-    SpawnBackend.name: SpawnBackend,
     PoolBackend.name: PoolBackend,
 }
 
@@ -50,51 +47,26 @@ def backend_for(workers: int | None = None,
     return DEFAULT_BACKEND
 
 
-def create_backend(name: str | None = None, *, workers: int | None = None,
-                   job_timeout: float | None = None,
-                   recycle_after: int | None = None,
-                   sweep_interval: float | None = None,
-                   checkpoint_every: int | None = None,
-                   checkpoint_dir=None,
-                   telemetry: bool = False,
-                   heartbeat_every: float | None = None,
-                   heartbeat=None) -> ExecutionBackend:
+def create_backend(name: str | None = None, **options) -> ExecutionBackend:
     """Instantiate a backend by name (``None`` = auto, see
-    :func:`backend_for`)."""
+    :func:`backend_for`); ``options`` are the
+    :class:`~repro.orchestrator.backends.base.ExecutionBackend` keyword
+    arguments."""
     if name is None:
-        name = backend_for(workers, job_timeout)
+        name = backend_for(options.get("workers"), options.get("job_timeout"))
     try:
         cls = BACKENDS[name]
     except KeyError:
         raise ValueError(f"unknown execution backend {name!r}: expected "
                          f"one of {', '.join(sorted(BACKENDS))}") from None
-    return cls(workers=workers, job_timeout=job_timeout,
-               recycle_after=recycle_after, sweep_interval=sweep_interval,
-               checkpoint_every=checkpoint_every,
-               checkpoint_dir=checkpoint_dir,
-               telemetry=telemetry, heartbeat_every=heartbeat_every,
-               heartbeat=heartbeat)
+    return cls(**options)
 
 
-def run_jobs(jobs, workers: int | None = None,
-             job_timeout: float | None = None, progress=None,
-             backend: str | None = None, recycle_after: int | None = None,
-             sweep_interval: float | None = None,
-             checkpoint_every: int | None = None,
-             checkpoint_dir=None, telemetry: bool = False,
-             heartbeat_every: float | None = None, heartbeat=None) -> list:
+def run_jobs(jobs, progress=None, backend: str | None = None,
+             **options) -> list:
     """Execute every job; returns :class:`JobOutcome` per job, in job
     order (one-call convenience over :func:`create_backend`)."""
-    engine = create_backend(backend, workers=workers,
-                            job_timeout=job_timeout,
-                            recycle_after=recycle_after,
-                            sweep_interval=sweep_interval,
-                            checkpoint_every=checkpoint_every,
-                            checkpoint_dir=checkpoint_dir,
-                            telemetry=telemetry,
-                            heartbeat_every=heartbeat_every,
-                            heartbeat=heartbeat)
-    return engine.run(jobs, progress=progress)
+    return create_backend(backend, **options).run(jobs, progress=progress)
 
 
 __all__ = [
@@ -105,7 +77,6 @@ __all__ = [
     "InlineBackend",
     "PoolBackend",
     "SchedulerCore",
-    "SpawnBackend",
     "backend_for",
     "create_backend",
     "execute_job",

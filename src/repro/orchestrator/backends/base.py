@@ -1,15 +1,15 @@
 """Shared scheduler machinery for the pluggable execution backends.
 
-Three pieces live here because every backend needs them:
+Three pieces live here:
 
 * :func:`execute_job` — run one campaign to completion in the current
   process, compiling through the process-local compile cache
   (:func:`repro.compiler.compile_cached`);
 * :class:`ExecutionBackend` — the protocol a backend implements (validate
   the batch, run it, expose run-level ``stats``);
-* :class:`SchedulerCore` — the result-side bookkeeping the process-based
-  backends (spawn, pool) share: the spawn context, the shared results
-  queue, first-wins settlement, and a *blocking* drain that sleeps in
+* :class:`SchedulerCore` — the result-side bookkeeping of the worker
+  pool: the spawn context, the shared results queue, first-wins
+  settlement, and a *blocking* drain that sleeps in
   ``Queue.get(timeout=...)`` instead of spinning on a poll interval.
 """
 
@@ -21,6 +21,7 @@ import queue as queue_mod
 import time
 import traceback
 
+from repro import layers
 from repro.compiler.cache import compile_cache_stats, compile_cached
 from repro.core.fuzzer import Fuzzer
 from repro.orchestrator.jobs import CampaignJob, JobOutcome
@@ -46,12 +47,13 @@ def resolve_workers(workers: int | None) -> int:
 
 
 def execute_job(job: CampaignJob, checkpoint_every: int | None = None,
-                checkpoint_path=None) -> JobOutcome:
+                checkpoint_path=None, disable=None) -> JobOutcome:
     """Run one campaign to completion in this process.
 
     Compilation goes through the process-local compile cache, so a
     long-lived worker executing many jobs over the same contract compiles
-    it once.
+    it once.  ``disable`` names the perf layers to switch off (see
+    :mod:`repro.layers`; None defers to ``REPRO_DISABLE``).
 
     With ``checkpoint_every``/``checkpoint_path`` the campaign persists a
     mid-flight checkpoint to ``checkpoint_path`` every N executions, and
@@ -72,10 +74,11 @@ def execute_job(job: CampaignJob, checkpoint_every: int | None = None,
                                         checkpoint_every)
             checkpoint = session.load()
             if checkpoint is not None:
-                fuzzer = Fuzzer.resume(checkpoint, artifact=artifact)
+                fuzzer = Fuzzer.resume(checkpoint, artifact=artifact,
+                                       disable=disable)
         if fuzzer is None:
             fuzzer = Fuzzer(artifact, job.build_config(),
-                            job.supported_set())
+                            job.supported_set(), disable)
         result = fuzzer.run(**(session.run_kwargs() if session else {}))
         if session is not None:
             session.complete()
@@ -87,14 +90,12 @@ def execute_job(job: CampaignJob, checkpoint_every: int | None = None,
                           elapsed=time.perf_counter() - start)
 
 
-def execute_with_cache_delta(job: CampaignJob,
-                             checkpoint_every: int | None = None,
-                             checkpoint_path=None) -> tuple:
-    """Execute one job and measure the compile-cache hit/miss delta it
-    caused; every backend reports these deltas into its run stats."""
+def execute_with_cache_delta(job: CampaignJob, **kwargs) -> tuple:
+    """Execute one job (``kwargs`` as for :func:`execute_job`) and measure
+    the compile-cache hit/miss delta it caused; every backend reports
+    these deltas into its run stats."""
     before = compile_cache_stats()
-    outcome = execute_job(job, checkpoint_every=checkpoint_every,
-                          checkpoint_path=checkpoint_path)
+    outcome = execute_job(job, **kwargs)
     after = compile_cache_stats()
     return outcome, {"cache_hits": after["hits"] - before["hits"],
                      "cache_misses": after["misses"] - before["misses"]}
@@ -123,25 +124,26 @@ def execute_to_wire(job_data: dict, heartbeat_sink=None,
       :class:`~repro.telemetry.progress.TelemetrySession`: the wire
       record gains the job's registry delta under ``telemetry``, and
       ``heartbeat_sink(snapshot)`` receives periodic progress snapshots
-      while the campaign runs.
+      while the campaign runs;
+    * ``_disable`` (sorted layer names) — the perf layers switched off
+      for this run (see :mod:`repro.layers`).
     """
     job_data = dict(job_data)
     transport = job_data.pop("_checkpoint", None) or {}
     telemetry = job_data.pop("_telemetry", None)
+    kwargs = dict(checkpoint_every=transport.get("every"),
+                  checkpoint_path=transport.get("path"),
+                  disable=job_data.pop("_disable", ()))
     job = CampaignJob.from_dict(job_data)
     if telemetry is None:
-        outcome, delta = execute_with_cache_delta(
-            job, checkpoint_every=transport.get("every"),
-            checkpoint_path=transport.get("path"))
+        outcome, delta = execute_with_cache_delta(job, **kwargs)
     else:
         with TelemetrySession(
                 job.job_id, heartbeat_sink=heartbeat_sink,
                 heartbeat_every=telemetry.get("heartbeat_every",
                                               DEFAULT_HEARTBEAT_EVERY),
                 worker=worker) as session:
-            outcome, delta = execute_with_cache_delta(
-                job, checkpoint_every=transport.get("every"),
-                checkpoint_path=transport.get("path"))
+            outcome, delta = execute_with_cache_delta(job, **kwargs)
         outcome.telemetry = session.delta
     wire = outcome.to_wire()
     wire.update(delta)
@@ -155,7 +157,9 @@ class ExecutionBackend:
     returning one :class:`JobOutcome` per job **in job order**.  All
     backends accept the same knobs; the ones that do not apply to a given
     backend are ignored (``recycle_after`` outside the pool) or rejected
-    (``job_timeout`` on inline, which cannot kill anything).
+    (``job_timeout`` on inline, which cannot kill anything).  ``disable``
+    is resolved once, when the backend is built (None =
+    ``REPRO_DISABLE``), and every job runs without those perf layers.
     """
 
     name = "abstract"
@@ -168,8 +172,11 @@ class ExecutionBackend:
                  checkpoint_dir=None,
                  telemetry: bool = False,
                  heartbeat_every: float | None = None,
-                 heartbeat=None) -> None:
+                 heartbeat=None,
+                 disable=None) -> None:
         self.workers = resolve_workers(workers)
+        #: the perf layers every job of this backend runs without
+        self.disabled_layers = layers.resolve(disable)
         #: collect per-job telemetry deltas + worker heartbeats this run
         self.telemetry = bool(telemetry)
         self.heartbeat_every = (DEFAULT_HEARTBEAT_EVERY
@@ -252,7 +259,7 @@ class ExecutionBackend:
     def job_payload(self, job: CampaignJob) -> dict:
         """The wire dict dispatched to a worker for ``job``: its
         serialized form plus the transport envelopes (checkpointing,
-        telemetry) configured for this run."""
+        telemetry, disabled perf layers) configured for this run."""
         data = job.to_dict()
         transport = self.checkpoint_transport(job)
         if transport is not None:
@@ -260,6 +267,7 @@ class ExecutionBackend:
         telemetry = self.telemetry_transport()
         if telemetry is not None:
             data["_telemetry"] = telemetry
+        data["_disable"] = sorted(self.disabled_layers)
         return data
 
     def _absorb_cache_stats(self, wire: dict) -> None:
@@ -279,7 +287,7 @@ class ExecutionBackend:
 
 
 class SchedulerCore:
-    """Result-side state shared by the process-based schedulers.
+    """Result-side state of the worker-pool scheduler.
 
     Owns the ``spawn`` context, the shared results queue, and settlement:
     first outcome wins (a result racing a timeout termination must not

@@ -20,23 +20,13 @@ from repro.telemetry.progress import TelemetrySession
 class InlineBackend(ExecutionBackend):
     name = "inline"
 
-    def __init__(self, workers=None, job_timeout=None, recycle_after=None,
-                 sweep_interval=None, checkpoint_every=None,
-                 checkpoint_dir=None, telemetry=False,
-                 heartbeat_every=None, heartbeat=None) -> None:
+    def __init__(self, workers=None, **options) -> None:
         # one logical worker regardless of the requested count
-        super().__init__(workers=1, job_timeout=job_timeout,
-                         recycle_after=recycle_after,
-                         sweep_interval=sweep_interval,
-                         checkpoint_every=checkpoint_every,
-                         checkpoint_dir=checkpoint_dir,
-                         telemetry=telemetry,
-                         heartbeat_every=heartbeat_every,
-                         heartbeat=heartbeat)
+        super().__init__(workers=1, **options)
         if self.job_timeout is not None:
             raise ValueError(
                 "the inline backend cannot enforce a wall-clock job "
-                "timeout (nothing to kill); use the spawn or pool backend")
+                "timeout (nothing to kill); use the pool backend")
 
     def _run(self, jobs, progress) -> list:
         # with no worker process, heartbeats flow straight from the
@@ -49,19 +39,18 @@ class InlineBackend(ExecutionBackend):
         outcomes = []
         for job in jobs:
             transport = self.checkpoint_transport(job) or {}
+            kwargs = dict(checkpoint_every=transport.get("every"),
+                          checkpoint_path=transport.get("path"),
+                          disable=self.disabled_layers)
             if self.telemetry:
                 with TelemetrySession(
                         job.job_id, heartbeat_sink=sink,
                         heartbeat_every=self.heartbeat_every) as session:
-                    outcome, delta = execute_with_cache_delta(
-                        job, checkpoint_every=transport.get("every"),
-                        checkpoint_path=transport.get("path"))
+                    outcome, delta = execute_with_cache_delta(job, **kwargs)
                 outcome.telemetry = session.delta
                 self._absorb_telemetry(session.delta)
             else:
-                outcome, delta = execute_with_cache_delta(
-                    job, checkpoint_every=transport.get("every"),
-                    checkpoint_path=transport.get("path"))
+                outcome, delta = execute_with_cache_delta(job, **kwargs)
             self._absorb_cache_stats(delta)
             outcomes.append(outcome)
             if progress is not None:

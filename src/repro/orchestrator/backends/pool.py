@@ -9,7 +9,7 @@ cell.
 
 The scheduler dispatches exactly one job at a time to each worker over a
 per-worker queue, so it always knows which job a worker holds — the
-invariant that makes the spawn backend's guarantees portable:
+invariant behind the pool's guarantees:
 
 * **timeouts** — a worker overrunning the per-job wall-clock budget is
   terminated, its in-flight job settles as ``timeout`` (never requeued),
@@ -18,11 +18,13 @@ invariant that makes the spawn backend's guarantees portable:
   as ``error`` and is replaced; queued jobs are unaffected;
 * **recycling** — with ``recycle_after=K`` a worker is retired after
   completing K jobs and replaced fresh, bounding per-process memory
-  growth on long matrices (at the cost of a cold compile cache).
+  growth on long matrices (at the cost of a cold compile cache);
+  ``recycle_after=1`` runs every job in a fresh process, the strongest
+  isolation on offer.
 
-Results are byte-identical to the inline and spawn backends at any worker
-count: job seeds derive from job identity alone, and compiled artifacts
-are immutable, so cache reuse cannot leak state between cells.  The
+Results are byte-identical to the inline backend at any worker count:
+job seeds derive from job identity alone, and compiled artifacts are
+immutable, so cache reuse cannot leak state between cells.  The
 determinism guard in the test suite enforces this.
 """
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 import time
 from dataclasses import asdict, dataclass, field
 
+from repro import layers
 from repro.engine.checkpoint import canonical_json
 from repro.orchestrator import aggregate
 from repro.orchestrator.backends import create_backend
@@ -23,12 +24,9 @@ from repro.orchestrator.store import ResultStore, atomic_write_text
 class RunStats:
     """Typed run-level statistics for one matrix run.
 
-    Replaces the former untyped ``MatrixRun.stats`` dict; keeps
-    dict-style ``get``/``[]``/``in`` access so existing consumers (bench
-    recorders, tests) read it unchanged.  ``to_wire()`` is the canonical
-    serialization the BENCH_orchestrator.json writers embed — it includes
-    the derived rates (execs/sec, txs/sec, cache hit rate) alongside the
-    raw counters.
+    ``to_wire()`` is the canonical serialization the
+    BENCH_orchestrator.json writers embed — it includes the derived rates
+    (execs/sec, txs/sec, cache hit rate) alongside the raw counters.
     """
 
     #: execution backend name the fresh cells ran on
@@ -82,25 +80,6 @@ class RunStats:
                    elapsed=elapsed,
                    telemetry=getattr(engine, "telemetry_totals", None),
                    **fields)
-
-    # -- dict-style compatibility ------------------------------------------------
-
-    def get(self, key: str, default=None):
-        try:
-            return self[key]
-        except KeyError:
-            return default
-
-    def __getitem__(self, key: str):
-        if key in self.__dataclass_fields__ or key in (
-                "cache_hit_rate", "execs_per_sec", "txs_per_sec"):
-            return getattr(self, key)
-        raise KeyError(key)
-
-    def __contains__(self, key: str) -> bool:
-        return (key in self.__dataclass_fields__
-                or key in ("cache_hit_rate", "execs_per_sec",
-                           "txs_per_sec"))
 
 
 @dataclass
@@ -218,23 +197,24 @@ def run_matrix(contracts, presets, trials: int = 1, base_seed: int = 1,
                time_budget: float | None = None,
                tx_budget: int | None = None,
                oracles=None,
-               state_cache: bool | None = None,
-               state_cache_capacity: int | None = None,
-               surface_pruning: bool | None = None,
-               block_fusion: bool | None = None,
+               disable=None,
                telemetry: bool = False,
                heartbeat_every: float | None = None,
                on_heartbeat=None,
-               store: str | None = None) -> MatrixRun:
+               store: str | None = None,
+               state_cache: bool | None = None,
+               surface_pruning: bool | None = None,
+               block_fusion: bool | None = None) -> MatrixRun:
     """Run (or resume) a campaign matrix; see module docstring.
 
     ``results_dir=None`` keeps everything in memory (no persistence,
     nothing skipped).  ``workers=None`` uses ``os.cpu_count()``.
-    ``backend`` picks the execution backend (``inline``, ``spawn``, or
-    ``pool``; ``None`` auto-selects — inline for the single-worker
-    no-timeout debugging mode, otherwise the default pool).  Results are
+    ``backend`` picks the execution backend (``inline`` or ``pool``;
+    ``None`` auto-selects — inline for the single-worker no-timeout
+    debugging mode, otherwise the default pool).  Results are
     byte-identical across backends and worker counts.  ``recycle_after``
-    retires each pool worker after that many jobs to bound memory growth.
+    retires each pool worker after that many jobs to bound memory growth
+    (``1`` = a fresh process per job).
 
     ``time_budget``/``tx_budget`` are per-campaign budget specs folded
     into every job's config (combined with the iteration budget by the
@@ -250,15 +230,14 @@ def run_matrix(contracts, presets, trials: int = 1, base_seed: int = 1,
     restriction participates in result fingerprints and checkpoints.  Use
     ``supported`` instead to model *per-preset* tool capability sets.
 
-    ``state_cache``/``state_cache_capacity`` pin the prefix-snapshot
-    state cache (``use_state_cache``/``state_cache_capacity`` config
-    overrides) for every campaign in the matrix; ``None`` leaves the
-    config default (cache on).  The cache is a pure performance layer —
-    results are byte-identical either way.  ``surface_pruning`` likewise
-    pins ``use_surface_pruning`` (oracle pruning from the vulnerability
-    surface's opcode-absence proofs) with the same byte-identity
-    guarantee, and ``block_fusion`` pins ``use_block_fusion`` (the
-    superinstruction execution tier of :mod:`repro.evm.fusion`).
+    ``disable`` names the perf layers every campaign runs without (see
+    :mod:`repro.layers`; ``None`` defers to ``REPRO_DISABLE``).  The
+    layers are inert, so the set travels beside the jobs rather than in
+    them: it changes no config, fingerprint or record, and results are
+    byte-identical whatever it holds.  ``state_cache``,
+    ``surface_pruning`` and ``block_fusion`` spell the same switch one
+    layer at a time (``False`` adds the layer to the set, ``True`` takes
+    it out).
 
     ``telemetry=True`` collects per-job metrics/span deltas (merged into
     ``MatrixRun.stats.telemetry``, embedded in result records) and turns
@@ -276,40 +255,32 @@ def run_matrix(contracts, presets, trials: int = 1, base_seed: int = 1,
     layout).
     """
     start = time.perf_counter()
-    if oracles is not None:
-        from repro.core.config import normalize_bug_classes
-        overrides = dict(overrides or {})
-        if "bug_classes" in overrides:
-            raise ValueError("oracles given both directly and as a "
-                             "bug_classes override; pass it one way")
-        overrides["bug_classes"] = list(normalize_bug_classes(oracles))
-    if (state_cache is not None or state_cache_capacity is not None
-            or surface_pruning is not None or block_fusion is not None):
-        overrides = dict(overrides or {})
-        for key, value in (("use_state_cache", state_cache),
-                           ("state_cache_capacity", state_cache_capacity),
-                           ("use_surface_pruning", surface_pruning),
-                           ("use_block_fusion", block_fusion)):
-            if value is None:
-                continue
-            if key in overrides:
-                raise ValueError(f"{key} given both directly and in "
-                                 f"overrides; pass it one way")
-            overrides[key] = value
     if checkpoint_every is not None and results_dir is None:
         raise ValueError("checkpoint_every requires results_dir "
                          "(checkpoints persist next to the results)")
-    if time_budget is not None or tx_budget is not None:
-        overrides = dict(overrides or {})
-        for key, value in (("time_budget", time_budget),
-                           ("tx_budget", tx_budget)):
-            if value is None:
-                continue
-            if key in overrides:
-                raise ValueError(f"{key} given both directly and in "
-                                 f"overrides; pass it one way")
-            overrides[key] = float(value) if key == "time_budget" \
-                else int(value)
+    # config fields a keyword may set for every job, as an override would
+    direct = {"time_budget": None if time_budget is None
+              else float(time_budget),
+              "tx_budget": None if tx_budget is None else int(tx_budget)}
+    if oracles is not None:
+        from repro.core.config import normalize_bug_classes
+        direct["bug_classes"] = list(normalize_bug_classes(oracles))
+    overrides = dict(overrides or {})
+    for key, value in direct.items():
+        if value is None:
+            continue
+        if key in overrides:
+            raise ValueError(f"{key} given both directly and in "
+                             f"overrides; pass it one way")
+        overrides[key] = value
+    disabled = set(layers.resolve(disable))
+    for layer, on in (("state_cache", state_cache),
+                      ("surface_pruning", surface_pruning),
+                      ("block_fusion", block_fusion)):
+        if on is False:
+            disabled.add(layer)
+        elif on:
+            disabled.discard(layer)
     jobs = build_matrix(contracts, presets, trials=trials,
                         base_seed=base_seed, overrides=overrides,
                         supported=supported)
@@ -344,7 +315,8 @@ def run_matrix(contracts, presets, trials: int = 1, base_seed: int = 1,
                                             else store.root),
                             telemetry=telemetry,
                             heartbeat_every=heartbeat_every,
-                            heartbeat=(heartbeat if telemetry else None))
+                            heartbeat=(heartbeat if telemetry else None),
+                            disable=disabled)
     fresh = {}
     if pending:
         def on_settle(outcome):

@@ -121,7 +121,7 @@ class TestCli:
 
     def test_campaign_rejects_recycle_after_off_pool(self, crowdsale_file):
         assert main(["campaign", crowdsale_file, "--fuzzers", "mufuzz",
-                     "--trials", "1", "--backend", "spawn",
+                     "--trials", "1", "--backend", "inline",
                      "--recycle-after", "5"]) == 2
 
     def test_campaign_on_corpus_sample(self, capsys, tmp_path):
@@ -216,6 +216,23 @@ class TestOracleSelection:
         bogus.write_text("{}")
         assert main(["replay", str(bogus)]) == 2
         assert "not a campaign result record" in capsys.readouterr().err
+
+
+class TestPerfLayerFlag:
+    def test_fuzz_disable_all_changes_no_result(self, capsys,
+                                                lockbox_file):
+        argv = ("fuzz", lockbox_file, "--iterations", "30", "--seed", "5")
+        plain = run_cli(capsys, *argv, "--disable", "")
+        off = run_cli(capsys, *argv, "--disable", "all")
+        assert strip_wall_time(plain) == strip_wall_time(off)
+        assert plain.splitlines()[1:] == off.splitlines()[1:]
+
+    @pytest.mark.parametrize("command", ["fuzz", "campaign"])
+    def test_disable_rejects_unknown_layer(self, capsys, crowdsale_file,
+                                           command):
+        assert main([command, crowdsale_file, "--disable",
+                     "state_cache,warp_drive"]) == 2
+        assert "--disable" in capsys.readouterr().err
 
 
 class TestBudgetFlags:

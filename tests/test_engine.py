@@ -351,17 +351,18 @@ class TestCheckpointWire:
         """The prefix-snapshot tree is checkpoint-transparent: a cached
         campaign interrupted mid-flight resumes (cache rebuilt cold) to
         the same bytes as the uninterrupted run."""
-        config = mufuzz_config(iterations=40, rng_seed=13,
-                               use_state_cache=True)
-        baseline = result_bytes(Fuzzer(CROWDSALE_SOURCE, config).run())
+        config = mufuzz_config(iterations=40, rng_seed=13)
+        baseline = result_bytes(Fuzzer(CROWDSALE_SOURCE, config,
+                                       disable=()).run())
         checkpoints = []
-        Fuzzer(CROWDSALE_SOURCE, config).run(
+        Fuzzer(CROWDSALE_SOURCE, config, disable=()).run(
             checkpoint_every=9, checkpoint_sink=checkpoints.append)
         assert checkpoints, "campaign too short to emit checkpoints"
         for checkpoint in checkpoints:
             restored = CampaignCheckpoint.from_json(checkpoint.to_json())
-            resumed = Fuzzer.resume(restored, artifact=CROWDSALE_SOURCE)
-            assert resumed.state_cache is not None  # config round-trips
+            resumed = Fuzzer.resume(restored, artifact=CROWDSALE_SOURCE,
+                                    disable=())
+            assert resumed.state_cache is not None
             assert result_bytes(resumed.run()) == baseline
 
 

@@ -10,6 +10,11 @@ backend and asserts the canonical JSON still matches, so a dispatch-table
 or journal-reset regression that silently changes results is caught — not
 just one that crashes.
 
+The same fixture pins everything that must leave results alone: the
+backends, both result stores, interrupt/resume, and each perf layer on
+and off.  The library itself reads ``REPRO_DISABLE``, ``REPRO_TELEMETRY``
+and ``REPRO_STORE``, so CI re-runs this module unchanged under each.
+
 Regenerate (only after an *intentional* semantics change):
 
     REPRO_REGEN_GOLDEN=1 PYTHONPATH=src:. python tests/test_golden_determinism.py
@@ -25,7 +30,6 @@ import pytest
 
 from repro.corpus import generate_d2
 from repro.orchestrator import run_matrix
-from repro.orchestrator.backends import BACKENDS
 from repro.orchestrator.store import canonical_json
 from tests.conftest import CROWDSALE_SOURCE, GAME_SOURCE
 
@@ -39,28 +43,14 @@ WORKERS = int(os.environ.get("REPRO_TEST_WORKERS", "2"))
 PRESETS = ("mufuzz", "sfuzz")
 OVERRIDES = {"iterations": 30, "rng_seed": 11}
 
-# The prefix-snapshot state cache is a pure performance layer and defaults
-# to on; REPRO_STATE_CACHE pins it explicitly ("1" = on, "0" = off) so CI
-# can sweep the whole golden matrix in both modes against the *same*
-# fixture — the byte-identity guarantee that justifies the default.
-_STATE_CACHE = os.environ.get("REPRO_STATE_CACHE")
-if _STATE_CACHE is not None:
-    OVERRIDES["use_state_cache"] = _STATE_CACHE == "1"
-
-# Same contract for surface-proof oracle pruning: dropping oracles whose
-# bug class the vulnerability surface proves impossible must not move a
-# single byte of the results.  REPRO_SURFACE_PRUNING pins it so CI sweeps
-# both modes against the one fixture.
-_SURFACE_PRUNING = os.environ.get("REPRO_SURFACE_PRUNING")
-if _SURFACE_PRUNING is not None:
-    OVERRIDES["use_surface_pruning"] = _SURFACE_PRUNING == "1"
-
-# And for block-fused execution: superinstruction closures must replay
-# the exact table-loop semantics (gas, steps, events, errors), so the
-# whole golden matrix sweeps byte-identical fused and unfused.
-_BLOCK_FUSION = os.environ.get("REPRO_BLOCK_FUSION")
-if _BLOCK_FUSION is not None:
-    OVERRIDES["use_block_fusion"] = _BLOCK_FUSION == "1"
+#: execution configurations swept against the fixture: both backends,
+#: plus the pool with a fresh worker process per job (the strongest
+#: isolation the orchestrator offers)
+EXECUTIONS = {
+    "inline": {"backend": "inline"},
+    "pool": {"backend": "pool"},
+    "pool-recycle1": {"backend": "pool", "recycle_after": 1},
+}
 
 
 def _golden_contracts() -> list:
@@ -70,22 +60,23 @@ def _golden_contracts() -> list:
             + [(c.name, c.source) for c in picks])
 
 
-def _canonical_run(backend: str, **extra_overrides) -> str:
+def _canonical_run(backend: str = "inline", **run_kwargs) -> str:
     run = run_matrix(_golden_contracts(), presets=PRESETS, trials=1,
-                     overrides={**OVERRIDES, **extra_overrides},
-                     workers=WORKERS, backend=backend)
+                     overrides=dict(OVERRIDES), workers=WORKERS,
+                     backend=backend, **run_kwargs)
     assert not run.errors and not run.timeouts, (backend, run.errors)
     record = {o.job.job_id: {**o.result.to_dict(), "wall_time": 0.0}
               for o in run.outcomes}
     return canonical_json(record)
 
 
-@pytest.mark.parametrize("backend", sorted(BACKENDS))
-def test_backend_matches_golden_fixture(backend):
+@pytest.mark.parametrize("execution", sorted(EXECUTIONS))
+def test_backend_matches_golden_fixture(execution):
     assert GOLDEN_PATH.exists(), \
         "golden fixture missing — see module docstring to regenerate"
-    assert _canonical_run(backend) == GOLDEN_PATH.read_text(), \
-        (f"{backend} backend diverged from the golden campaign fixture; "
+    assert _canonical_run(**EXECUTIONS[execution]) == \
+        GOLDEN_PATH.read_text(), \
+        (f"{execution} diverged from the golden campaign fixture; "
          f"if the semantics change was intentional, regenerate it "
          f"(see module docstring)")
 
@@ -128,19 +119,19 @@ def test_store_backend_transparent_to_golden_fixture(store_backend,
              f"per-file reference layout")
 
 
-@pytest.mark.parametrize("backend", sorted(BACKENDS))
-def test_interrupted_matrix_resumes_to_golden_fixture(backend, tmp_path):
+@pytest.mark.parametrize("execution", sorted(EXECUTIONS))
+def test_interrupted_matrix_resumes_to_golden_fixture(execution, tmp_path):
     """Interrupt/resume determinism against the golden fixture, swept
-    across every execution backend.
+    across every execution configuration.
 
     Every golden cell is interrupted at an arbitrary mid-campaign
     iteration: the campaign runs inline with a checkpoint sink that aborts
     after its second emission (the engine's crash model), and the captured
     checkpoint is persisted into the results directory exactly as a killed
-    worker would have left it.  The full matrix then runs on ``backend`` —
-    each worker must *resume* the half-finished campaigns from those
-    checkpoints — and the settled results must still match the golden
-    fixture byte for byte."""
+    worker would have left it.  The full matrix then runs on
+    ``execution`` — each worker must *resume* the half-finished campaigns
+    from those checkpoints — and the settled results must still match the
+    golden fixture byte for byte."""
     from repro.compiler.cache import compile_cached
     from repro.core.fuzzer import Fuzzer
     from repro.orchestrator.jobs import build_matrix
@@ -174,15 +165,23 @@ def test_interrupted_matrix_resumes_to_golden_fixture(backend, tmp_path):
 
     run = run_matrix(_golden_contracts(), presets=PRESETS, trials=1,
                      overrides=dict(OVERRIDES), workers=WORKERS,
-                     backend=backend, results_dir=store.root,
-                     checkpoint_every=7)
-    assert not run.errors and not run.timeouts, (backend, run.errors)
+                     results_dir=store.root, checkpoint_every=7,
+                     **EXECUTIONS[execution])
+    assert not run.errors and not run.timeouts, (execution, run.errors)
     assert not store.checkpoint_ids()  # consumed on completion
     record = {o.job.job_id: {**o.result.to_dict(), "wall_time": 0.0}
               for o in run.outcomes}
     assert canonical_json(record) == GOLDEN_PATH.read_text(), \
-        (f"{backend} backend resumed-from-checkpoint results diverged "
-         f"from the golden campaign fixture")
+        (f"{execution} resumed-from-checkpoint results diverged from the "
+         f"golden campaign fixture")
+
+
+def _layer_run(layer: str, on: bool) -> str:
+    """The golden matrix with only ``layer`` off, or with every perf layer
+    on (either way overriding ``REPRO_DISABLE``)."""
+    assert GOLDEN_PATH.exists(), \
+        "golden fixture missing — see module docstring to regenerate"
+    return _canonical_run(disable=() if on else (layer,))
 
 
 @pytest.mark.parametrize("use_cache", [False, True],
@@ -190,13 +189,10 @@ def test_interrupted_matrix_resumes_to_golden_fixture(backend, tmp_path):
 def test_state_cache_is_transparent_to_golden_fixture(use_cache):
     """One fixture, both cache modes: the prefix-snapshot tree must leave
     campaign results byte-identical whether prefixes are re-executed or
-    fast-forwarded (this is the guard behind ``use_state_cache=True`` by
+    fast-forwarded (this is the guard behind the cache being on by
     default)."""
-    assert GOLDEN_PATH.exists(), \
-        "golden fixture missing — see module docstring to regenerate"
-    got = _canonical_run("inline", use_state_cache=use_cache)
-    assert got == GOLDEN_PATH.read_text(), \
-        (f"use_state_cache={use_cache} diverged from the golden fixture — "
+    assert _layer_run("state_cache", use_cache) == GOLDEN_PATH.read_text(), \
+        (f"state cache on={use_cache} diverged from the golden fixture — "
          f"the state cache is supposed to be a pure performance layer")
 
 
@@ -205,13 +201,11 @@ def test_state_cache_is_transparent_to_golden_fixture(use_cache):
 def test_surface_pruning_is_transparent_to_golden_fixture(use_pruning):
     """One fixture, both pruning modes: oracles dropped on the surface's
     opcode-absence proofs could never have fired, so campaign results must
-    stay byte-identical with pruning on or off (the guard behind
-    ``use_surface_pruning=True`` by default)."""
-    assert GOLDEN_PATH.exists(), \
-        "golden fixture missing — see module docstring to regenerate"
-    got = _canonical_run("inline", use_surface_pruning=use_pruning)
-    assert got == GOLDEN_PATH.read_text(), \
-        (f"use_surface_pruning={use_pruning} diverged from the golden "
+    stay byte-identical with pruning on or off (the guard behind pruning
+    being on by default)."""
+    assert _layer_run("surface_pruning", use_pruning) == \
+        GOLDEN_PATH.read_text(), \
+        (f"surface pruning on={use_pruning} diverged from the golden "
          f"fixture — pruned oracles must be provably-dead, never merely "
          f"unlikely")
 
@@ -221,12 +215,10 @@ def test_surface_pruning_is_transparent_to_golden_fixture(use_pruning):
 def test_block_fusion_is_transparent_to_golden_fixture(use_fusion):
     """One fixture, both execution tiers: block-fused superinstruction
     closures must leave campaign results byte-identical to the per-opcode
-    table loop (the guard behind ``use_block_fusion=True`` by default)."""
-    assert GOLDEN_PATH.exists(), \
-        "golden fixture missing — see module docstring to regenerate"
-    got = _canonical_run("inline", use_block_fusion=use_fusion)
-    assert got == GOLDEN_PATH.read_text(), \
-        (f"use_block_fusion={use_fusion} diverged from the golden fixture "
+    table loop (the guard behind fusion being on by default)."""
+    assert _layer_run("block_fusion", use_fusion) == \
+        GOLDEN_PATH.read_text(), \
+        (f"block fusion on={use_fusion} diverged from the golden fixture "
          f"— fused blocks must replay the table loop's exact semantics")
 
 

@@ -25,6 +25,7 @@ from repro.evm.trace import (
     EV_OVERFLOW,
     EV_SELFDESTRUCT,
     EV_STORAGE,
+    events_from_trace,
 )
 from repro.oracles import ALL_BUG_CLASSES, BugClass, Finding, all_oracles
 from repro.oracles.base import FindingCollector
@@ -47,15 +48,17 @@ contract Lockbox {
 """
 
 
-def _campaign(source: str, iterations: int = 40, **overrides):
+def _campaign(source: str, iterations: int = 40, disable=None,
+              **overrides):
     config = mufuzz_config(iterations=iterations, rng_seed=5, **overrides)
-    fuzzer = Fuzzer(source, config)
+    fuzzer = Fuzzer(source, config, disable=disable)
     return fuzzer, fuzzer.run()
 
 
 class TestStreamingBatchParity:
-    """Bus-driven findings == re-scanning every receipt with fresh oracles
-    through the legacy batch adapter."""
+    """Bus-driven findings == re-scanning every recorded receipt with
+    fresh oracles, kind-major (the order the state cache's replay path
+    feeds memoized receipts)."""
 
     @pytest.mark.parametrize("source", [VULNERABLE_SOURCE, GAME_SOURCE,
                                         CROWDSALE_SOURCE])
@@ -77,7 +80,11 @@ class TestStreamingBatchParity:
         oracles = all_oracles()
         for receipt in receipts:
             for oracle in oracles:
-                batch.extend(oracle.on_receipt(receipt, fuzzer.ctx))
+                oracle.begin_transaction()
+                for event in events_from_trace(receipt.trace,
+                                               oracle.subscriptions):
+                    oracle.on_event(event, fuzzer.ctx)
+                batch.extend(oracle.end_transaction(receipt, fuzzer.ctx))
         for oracle in oracles:
             batch.extend(oracle.finalize(fuzzer.ctx))
 
@@ -249,9 +256,8 @@ class TestPrefixSkipLockstep:
     @pytest.mark.parametrize("source", [VULNERABLE_SOURCE, GAME_SOURCE,
                                         CROWDSALE_SOURCE])
     def test_findings_equal_per_bug_class_with_cache(self, source):
-        cached_fuzzer, cached = _campaign(source, iterations=40,
-                                          use_state_cache=True)
-        _, plain = _campaign(source, iterations=40, use_state_cache=False)
+        cached_fuzzer, cached = _campaign(source, iterations=40, disable=())
+        _, plain = _campaign(source, iterations=40, disable=("state_cache",))
         assert cached_fuzzer.state_cache.hits > 0
 
         def by_class(result):
@@ -266,9 +272,8 @@ class TestPrefixSkipLockstep:
     def test_witness_with_skipped_prefix_replays(self):
         """Findings surfaced while their witness prefix was served from
         the cache must still re-trigger through ``replay_findings``."""
-        config = mufuzz_config(iterations=40, rng_seed=5,
-                               use_state_cache=True)
-        fuzzer = Fuzzer(VULNERABLE_SOURCE, config)
+        config = mufuzz_config(iterations=40, rng_seed=5)
+        fuzzer = Fuzzer(VULNERABLE_SOURCE, config, disable=())
         result = fuzzer.run()
         assert fuzzer.state_cache.hits > 0
         assert result.findings
@@ -284,9 +289,8 @@ class TestPrefixSkipLockstep:
         must advance the bus's sequence position like a live one."""
         from repro.oracles.ether_freeze import EtherFreezeOracle
 
-        config = mufuzz_config(iterations=12, rng_seed=3,
-                               use_state_cache=False)
-        fuzzer = Fuzzer(VULNERABLE_SOURCE, config)
+        config = mufuzz_config(iterations=12, rng_seed=3)
+        fuzzer = Fuzzer(VULNERABLE_SOURCE, config, disable=("state_cache",))
         receipts = []
         original_end = fuzzer.bus.end_transaction
 
@@ -320,9 +324,8 @@ class TestPrefixSkipLockstep:
         returns no duplicate findings for them."""
         from repro.oracles.overflow import IntegerOverflowOracle
 
-        config = mufuzz_config(iterations=12, rng_seed=3,
-                               use_state_cache=False)
-        fuzzer = Fuzzer(VULNERABLE_SOURCE, config)
+        config = mufuzz_config(iterations=12, rng_seed=3)
+        fuzzer = Fuzzer(VULNERABLE_SOURCE, config, disable=("state_cache",))
         receipts = []
         original_end = fuzzer.bus.end_transaction
 

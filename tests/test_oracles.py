@@ -8,6 +8,7 @@ from repro.compiler import compile_source, encode_call
 from repro.evm.opcodes import Op
 from repro.oracles import BugClass, OracleContext, all_oracles, oracle_for
 from repro.oracles.base import FindingCollector
+from repro.oracles.bus import OracleBus
 from tests.conftest import ALICE, BOB
 
 ATTACKER = 0x999
@@ -15,7 +16,9 @@ REJECTOR = 0x888
 
 
 class Harness:
-    """Deploy a contract, run transactions, collect oracle findings."""
+    """Deploy a contract, run transactions, collect oracle findings (the
+    oracles stream each transaction's events through a bus, as in a
+    campaign)."""
 
     def __init__(self, source: str, deploy_value: int = 10 ** 18) -> None:
         self.chain = Chain()
@@ -31,8 +34,9 @@ class Harness:
             artifact=self.artifact, address=self.deployed.address,
             deployer=ALICE,
             attacker_addresses=frozenset({ATTACKER, REJECTOR}))
-        self.oracles = all_oracles()
         self.collector = FindingCollector()
+        self.bus = OracleBus(all_oracles(), self.ctx, self.collector)
+        self.chain.oracle_bus = self.bus
 
     def call(self, function: str, *args, sender: int = ALICE,
              value: int = 0, arm: bool = True):
@@ -42,13 +46,11 @@ class Harness:
             self.agent.arm(data)
         receipt = self.chain.apply(Transaction(
             sender=sender, to=self.deployed.address, value=value, data=data))
-        for oracle in self.oracles:
-            self.collector.extend(oracle.on_receipt(receipt, self.ctx))
+        self.collector.extend(self.bus.end_transaction(receipt))
         return receipt
 
     def finalize(self) -> set:
-        for oracle in self.oracles:
-            self.collector.extend(oracle.finalize(self.ctx))
+        self.collector.extend(self.bus.finalize())
         return self.collector.classes()
 
     @property
@@ -451,10 +453,11 @@ class TestRevertedSubcallRegressions:
     }
     """
 
-    def _receipt_from_raw(self, callee_code: bytes, cut: int,
+    def _receipt_from_raw(self, callee_code: bytes, cut: int, bus,
                           value: int = 0):
-        """Run an attacker frame that CALLs ``cut`` (which reverts) and
-        wrap the resulting trace in a successful receipt."""
+        """Run an attacker frame that CALLs ``cut`` (which reverts), with
+        ``bus`` streaming its events, and wrap the resulting trace in a
+        successful receipt."""
         from repro.chain.blockchain import BlockContext
         from repro.chain.state import WorldState
         from repro.chain.transactions import Transaction, TransactionReceipt
@@ -466,7 +469,7 @@ class TestRevertedSubcallRegressions:
         world.set_code(cut, callee_code)
         world.account(0xA77)
         world.set_balance(0xA77, 10 ** 6)
-        machine = Machine(world, BlockContext())
+        machine = Machine(world, BlockContext(), bus=bus)
         outer = asm(push1(0), push1(0), push1(0), push1(0), (value, 2),
                     (cut, 2), (100000, 3), Op.CALL, Op.STOP)
         msg = Message(address=0xA77, caller=0xB, origin=0xB, value=0,
@@ -486,12 +489,12 @@ class TestRevertedSubcallRegressions:
         cut = 0xC07
         # the contract under test receives ether, then reverts the frame:
         # the transfer rolled back, so no ether was actually frozen
-        receipt = self._receipt_from_raw(
-            asm(push1(0), push1(0), Op.REVERT), cut, value=500)
         ctx = OracleContext(artifact=artifact, address=cut, deployer=ALICE)
-        oracle = EtherFreezeOracle()
-        assert list(oracle.on_receipt(receipt, ctx)) == []
-        assert list(oracle.finalize(ctx)) == []
+        bus = OracleBus([EtherFreezeOracle()], ctx)
+        receipt = self._receipt_from_raw(
+            asm(push1(0), push1(0), Op.REVERT), cut, bus, value=500)
+        assert bus.end_transaction(receipt) == []
+        assert bus.finalize() == []
 
     def test_overflow_in_reverted_subcall_not_reported(self):
         from repro.oracles.overflow import IntegerOverflowOracle
@@ -503,7 +506,7 @@ class TestRevertedSubcallRegressions:
         cut = 0xC07
         callee = asm(push1(2), ((1 << 256) - 1, 32), Op.ADD, Op.POP,
                      push1(0), push1(0), Op.REVERT)
-        receipt = self._receipt_from_raw(callee, cut)
         ctx = OracleContext(artifact=artifact, address=cut, deployer=ALICE)
-        oracle = IntegerOverflowOracle()
-        assert list(oracle.on_receipt(receipt, ctx)) == []
+        bus = OracleBus([IntegerOverflowOracle()], ctx)
+        receipt = self._receipt_from_raw(callee, cut, bus)
+        assert bus.end_transaction(receipt) == []

@@ -6,6 +6,7 @@ import os
 
 import pytest
 
+from repro import layers
 from repro.core.campaign import CampaignResult
 from repro.oracles.base import BugClass, Finding
 from repro.orchestrator import (
@@ -210,11 +211,11 @@ class TestRunMatrix:
 
 class TestBackends:
     """The pluggable execution backends: registry and auto-selection,
-    the three-way determinism guard, compile-cache amortization, worker
-    recycling, and timeout kill-and-respawn."""
+    the determinism guard, compile-cache amortization, worker recycling,
+    and timeout kill-and-respawn."""
 
     def test_registry_and_auto_selection(self):
-        assert set(BACKENDS) == {"inline", "spawn", "pool"}
+        assert set(BACKENDS) == {"inline", "pool"}
         assert backend_for(workers=1, job_timeout=None) == "inline"
         assert backend_for(workers=4, job_timeout=None) == "pool"
         assert backend_for(workers=1, job_timeout=5.0) == "pool"
@@ -253,29 +254,29 @@ class TestBackends:
             persisted[backend] = ResultStore(results_dir) \
                 .canonical_records()
         assert len(persisted["inline"]) == 8
-        assert persisted["inline"] == persisted["spawn"] == \
-            persisted["pool"]
+        assert persisted["inline"] == persisted["pool"]
 
     @pytest.mark.skipif(os.environ.get("REPRO_TEST_WORKERS") is not None,
                         reason="wall-clock comparison: once per suite is "
                                "enough; skip in the CI worker sweep")
-    def test_pool_amortizes_compilation_and_beats_spawn(self):
+    def test_pool_amortizes_compilation_and_beats_fresh_workers(self):
         """20 cells over 2 contracts: each pool worker compiles each
         contract at most once (hits >= cells - contracts x workers), and
         skipping per-job interpreter boot + import + compile makes the
-        pool measurably faster than spawn at the same worker count."""
+        warm pool measurably faster than a fresh process per job
+        (``recycle_after=1``) at the same worker count."""
         contracts = [("Crowdsale", CROWDSALE_SOURCE), ("Game", GAME_SOURCE)]
         kw = dict(presets=("mufuzz", "sfuzz"), trials=5, overrides=FAST,
-                  workers=2)
-        pool = run_matrix(contracts, backend="pool", **kw)
-        spawn = run_matrix(contracts, backend="spawn", **kw)
-        assert not pool.errors and not spawn.errors
-        assert pool.executed == spawn.executed == 20
-        assert pool.stats["compile_cache_hits"] >= 20 - 2 * 2
-        assert pool.stats["compile_cache_misses"] <= 2 * 2
-        assert spawn.stats["compile_cache_hits"] == 0  # always-cold caches
-        assert pool.elapsed < spawn.elapsed, \
-            f"pool {pool.elapsed:.2f}s vs spawn {spawn.elapsed:.2f}s"
+                  workers=2, backend="pool")
+        warm = run_matrix(contracts, **kw)
+        fresh = run_matrix(contracts, recycle_after=1, **kw)
+        assert not warm.errors and not fresh.errors
+        assert warm.executed == fresh.executed == 20
+        assert warm.stats.compile_cache_hits >= 20 - 2 * 2
+        assert warm.stats.compile_cache_misses <= 2 * 2
+        assert fresh.stats.compile_cache_hits == 0  # always-cold caches
+        assert warm.elapsed < fresh.elapsed, \
+            f"warm {warm.elapsed:.2f}s vs fresh {fresh.elapsed:.2f}s"
 
     def test_pool_recycles_workers_after_quota(self):
         jobs = build_matrix([("Crowdsale", CROWDSALE_SOURCE)],
@@ -301,14 +302,14 @@ class TestBackends:
                    if job_id != "Hang__mufuzz__t000")
         assert engine.stats["workers_killed"] == 1
 
-    def test_spawn_timeout_and_error_parity(self):
-        """The spawn backend keeps the guarantees the pool advertises as
-        'everything spawn guarantees': timeout kill, captured per-job
-        errors, and unaffected neighbours — tested on spawn explicitly
-        now that run_jobs auto-selects the pool."""
+    def test_fresh_worker_timeout_and_error_parity(self):
+        """A fresh worker process per job (``recycle_after=1``, the
+        strongest isolation on offer) keeps every pool guarantee: timeout
+        kill, captured per-job errors, and unaffected neighbours."""
         hang = _job(name="Hang", overrides={"iterations": 50_000_000})
         broken = _job(name="Broken", source=BROKEN_SOURCE)
-        engine = create_backend("spawn", workers=2, job_timeout=2.0)
+        engine = create_backend("pool", workers=2, job_timeout=2.0,
+                                recycle_after=1)
         outcomes = engine.run([hang, broken, _job()])
         by_name = {o.job.name: o for o in outcomes}
         assert by_name["Hang"].status == "timeout"
@@ -329,6 +330,64 @@ class TestBackends:
         assert all(o.ok for o in by_name["Crowdsale"])
         assert all(o.status == "error" for o in by_name["Broken"])
         assert "Traceback" in by_name["Broken"][0].error
+
+
+class TestPerfLayerSwitch:
+    """One switch for the perf layers: parsed in one place, carried to
+    every worker beside the jobs, and absent from every record."""
+
+    def test_layer_specs(self):
+        assert layers.parse(None) == frozenset()
+        assert layers.parse("") == frozenset()
+        assert layers.parse("all") == set(layers.PERF_LAYERS)
+        assert layers.parse("State_Cache, block_fusion") == \
+            {"state_cache", "block_fusion"}
+        assert layers.parse(["surface_pruning"]) == {"surface_pruning"}
+        with pytest.raises(ValueError, match="warp_drive"):
+            layers.parse("state_cache,warp_drive")
+
+    def test_disabled_layers_reach_pool_workers(self):
+        kw = dict(presets=("mufuzz",), overrides=FAST, workers=2,
+                  backend="pool", telemetry=True)
+
+        def fused_steps(disable) -> int:
+            run = run_matrix([("Crowdsale", CROWDSALE_SOURCE)],
+                             disable=disable, **kw)
+            assert all(o.ok for o in run.outcomes)
+            return run.stats.telemetry["counters"].get(
+                "fusion.fused_steps", 0)
+
+        assert fused_steps(()) > 0
+        assert fused_steps("block_fusion") == 0
+
+    def test_disabled_layers_leave_records_unchanged(self, tmp_path):
+        """Layer keywords and ``disable`` are one switch, and it is no
+        part of a job: the records (config and fingerprint included) are
+        byte-identical with every layer off, so either run is a valid
+        cache for the other."""
+        contracts = [("Crowdsale", CROWDSALE_SOURCE)]
+        kw = dict(presets=("mufuzz", "sfuzz"), overrides=FAST, workers=1)
+        run_matrix(contracts, results_dir=tmp_path / "on", disable=(), **kw)
+        run_matrix(contracts, results_dir=tmp_path / "off",
+                   state_cache=False, surface_pruning=False,
+                   block_fusion=False, **kw)
+        on = ResultStore(tmp_path / "on").canonical_records()
+        assert len(on) == 2
+        assert ResultStore(tmp_path / "off").canonical_records() == on
+        rerun = run_matrix(contracts, results_dir=tmp_path / "on",
+                           disable="all", **kw)
+        assert rerun.cached == 2 and rerun.executed == 0
+
+    def test_configs_stored_with_retired_layer_fields_still_load(self):
+        """Records and checkpoints written while the layers were config
+        fields carry ``use_*`` keys; replay and resume must still read
+        them."""
+        from dataclasses import asdict
+        from repro.core.config import config_from_dict, mufuzz_config
+        stored = {**asdict(mufuzz_config(rng_seed=4)),
+                  "use_state_cache": False, "use_surface_pruning": True,
+                  "use_block_fusion": True}
+        assert config_from_dict(stored) == mufuzz_config(rng_seed=4)
 
 
 class TestParallelExecution:

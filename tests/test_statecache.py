@@ -27,10 +27,15 @@ def result_json(result) -> str:
     return canonical_json({**result.to_dict(), "wall_time": 0.0})
 
 
+def _cache_fuzzer(source, config, use_cache=True) -> Fuzzer:
+    """A fuzzer with the state cache pinned on or off."""
+    return Fuzzer(source, config,
+                  disable=() if use_cache else ("state_cache",))
+
+
 def _run(source, use_cache, **overrides):
     overrides.setdefault("rng_seed", 21)
-    config = mufuzz_config(use_state_cache=use_cache, **overrides)
-    fuzzer = Fuzzer(source, config)
+    fuzzer = _cache_fuzzer(source, mufuzz_config(**overrides), use_cache)
     return fuzzer, fuzzer.run()
 
 
@@ -62,9 +67,8 @@ class TestCacheMechanics:
     def test_selective_insertion_memoizes_on_recurrence(self):
         """First execution of a prefix costs a skeleton, the second
         materializes it, and only the third is a hit."""
-        config = mufuzz_config(iterations=10, rng_seed=1,
-                               use_state_cache=True)
-        fuzzer = Fuzzer(CROWDSALE_SOURCE, config)
+        fuzzer = _cache_fuzzer(CROWDSALE_SOURCE,
+                               mufuzz_config(iterations=10, rng_seed=1))
         seed = Seed(calls=calls(("invest", [7], 0, 0x00CA_FE01)))
         cache = fuzzer.state_cache
 
@@ -163,9 +167,8 @@ class TestCacheTransparency:
         """Execute a sequence until its prefix is memoized, then a
         one-call extension: the fast-forwarded suffix run must equal a
         cold full execution."""
-        config = mufuzz_config(iterations=10, rng_seed=1,
-                               use_state_cache=True)
-        fuzzer = Fuzzer(CROWDSALE_SOURCE, config)
+        config = mufuzz_config(iterations=10, rng_seed=1)
+        fuzzer = _cache_fuzzer(CROWDSALE_SOURCE, config)
         base = Seed(calls=calls(
             ("invest", [10 ** 20], 0, 0x00CA_FE01),
             ("invest", [5], 0, 0x00CA_FE01)))
@@ -177,9 +180,8 @@ class TestCacheTransparency:
         warm = fuzzer._execute(extended)
         assert fuzzer.state_cache.hits == 1
 
-        cold_config = mufuzz_config(iterations=10, rng_seed=1,
-                                    use_state_cache=False)
-        cold_fuzzer = Fuzzer(CROWDSALE_SOURCE, cold_config)
+        cold_fuzzer = _cache_fuzzer(CROWDSALE_SOURCE, config,
+                                    use_cache=False)
         cold = cold_fuzzer._execute(
             Seed(calls=[c.clone() for c in extended.calls]))
 
@@ -197,6 +199,6 @@ class TestCacheTransparency:
         multi_tx = [f for f in result.findings if len(f.witness) > 1]
         assert multi_tx, "campaign produced no multi-transaction witness"
         for finding in result.findings:
-            replayer = Fuzzer(GAME_SOURCE, mufuzz_config(
-                rng_seed=5, iterations=80, use_state_cache=True))
+            replayer = _cache_fuzzer(GAME_SOURCE, mufuzz_config(
+                rng_seed=5, iterations=80))
             assert replayer.replay(finding), finding

@@ -215,7 +215,7 @@ class TestDeterminismGuard:
     """Telemetry must be provably inert: byte-identical campaign results
     with collection on or off, on every backend."""
 
-    @pytest.mark.parametrize("backend", ["inline", "spawn", "pool"])
+    @pytest.mark.parametrize("backend", ["inline", "pool"])
     def test_results_byte_identical_with_telemetry(self, backend,
                                                    tmp_path):
         def result_bytes(telemetry: bool, subdir: str) -> str:
@@ -332,7 +332,7 @@ class TestHeartbeatPlumbing:
 
     def test_scheduler_invokes_heartbeat_callback(self):
         beats = []
-        engine = create_backend("spawn", workers=2, telemetry=True,
+        engine = create_backend("pool", workers=2, telemetry=True,
                                 heartbeat_every=0.0, heartbeat=beats.append)
         outcomes = engine.run([_job()])
         assert outcomes[0].ok
@@ -447,7 +447,7 @@ class TestTelemetryCLI:
 
 class TestEnvEnable:
     def test_env_var_enables_collection_in_workers(self):
-        """REPRO_TELEMETRY=1 is how spawned workers inherit the switch;
+        """REPRO_TELEMETRY=1 is how pool workers inherit the switch;
         the module hook honours it at import."""
         import subprocess
         import sys
