@@ -3,8 +3,8 @@
 The table loop in :mod:`repro.evm.machine` still pays a Python-level loop
 iteration, step-budget check, gas decrement, and kind dispatch for *every*
 opcode.  This module amortizes that overhead across straight-line regions:
-at analysis time it walks the :func:`repro.analysis.cfg.build_cfg` blocks of
-a bytecode and compiles each basic block into **one** specialized Python
+it walks the :func:`repro.analysis.cfg.build_cfg` blocks of a bytecode and
+compiles each basic block a frame enters into **one** specialized Python
 closure:
 
 * per-block gas is precomputed and charged as a single constant
@@ -51,6 +51,22 @@ are untouched by construction.  Three tiers:
   always-raising opcode (CREATE, unhandled): the closure immediately
   returns the :data:`FUSION_BAILOUT` sentinel and the machine finishes the
   frame on the plain table loop, reproducing the exact error.
+
+Superblocks compile **on first entry**.  :func:`fused_program` does the
+cheap whole-program work up front: code analysis, the CFG, tier
+classification, the interp and bailout closures, and the namespace the
+generated code runs in.  Each fused-tier entry starts as a stub, both in
+the program's block map and under its ``B{pc}`` name in that namespace.
+The stub's first call emits the entry's superblock, compiles it and execs
+it into the namespace (rebinding ``B{pc}``), replaces itself in the block
+map (and as ``FusedProgram.entry`` for pc 0), and runs the compiled
+closure.  Generated code looks ``B{pc}`` and the block map up at call
+time, so threaded returns and dynamic jumps reach compiled closures with
+no re-linking, and the code emitted for an entry does not depend on which
+entries compiled before it (up to the names of interned constants).  A
+campaign enters only a small share of a program's entries — 15-20% of a
+runtime program's on the benchmark workloads, under 2% of a large
+init-code program's — so most superblocks are never generated.
 
 A fused closure may also *decline* at runtime (insufficient gas for the
 whole block, step budget nearly exhausted, stack precheck failure, dynamic
@@ -198,7 +214,9 @@ TIER_BAILOUT = "bailout"
 # Same discipline as evm.analysis / evm.machine: the compile path and the
 # bailout path bump plain module ints (or, for fused steps, a list cell
 # baked into the generated code), and a snapshot-time collector mirrors
-# the totals into the registry's counters.
+# the totals into the registry's counters.  Programs and tier counts are
+# counted when a program is classified; folded/inlined ops, threaded
+# jumps, chained blocks and compiled entries as each entry compiles.
 
 _T_PROGRAMS = _metrics.counter("fusion.programs_compiled")
 _T_FUSED = _metrics.counter("fusion.blocks.fused")
@@ -208,6 +226,7 @@ _T_FOLDED = _metrics.counter("fusion.folded_ops")
 _T_INLINED = _metrics.counter("fusion.inlined_ops")
 _T_THREADED = _metrics.counter("fusion.threaded_jumps")
 _T_CHAINED = _metrics.counter("fusion.chained_blocks")
+_T_ENTRIES = _metrics.counter("fusion.entries_compiled")
 _T_FUSED_STEPS = _metrics.counter("fusion.fused_steps")
 _T_RT_BAILOUTS = _metrics.counter("fusion.runtime_bailouts")
 _T_HITS = _metrics.counter("fusion.cache.hits")
@@ -226,6 +245,7 @@ _folded_ops = 0
 _inlined_ops = 0
 _threaded_jumps = 0
 _chained_blocks = 0
+_entries_compiled = 0
 _runtime_bailouts = 0
 _fallback_reasons: dict[str, int] = {}
 #: fused runtime step count — a list cell so generated code can bump it
@@ -242,6 +262,7 @@ def _collect_fusion_counters() -> None:
     _T_INLINED.set_total(_inlined_ops)
     _T_THREADED.set_total(_threaded_jumps)
     _T_CHAINED.set_total(_chained_blocks)
+    _T_ENTRIES.set_total(_entries_compiled)
     _T_FUSED_STEPS.set_total(_FUSED_STEPS[0])
     _T_RT_BAILOUTS.set_total(_runtime_bailouts)
     _T_HITS.set_total(_hits)
@@ -260,17 +281,38 @@ def note_runtime_bailout() -> None:
 
 
 class FusedProgram:
-    """The compiled block map for one ``(code, event_mask)`` pair."""
+    """The block map for one ``(code, event_mask)`` pair.
 
-    __slots__ = ("entry", "blocks", "tiers", "stats", "source")
+    Everything but the fused superblocks is built when the program is
+    created: tiers, the interp/bailout closures, the shared namespace.
+    Each fused-tier entry starts as a stub (in ``blocks`` and, as
+    ``B{pc}``, in the namespace) that emits, compiles and installs its
+    superblock the first time it runs, replacing itself — and ``entry``
+    for pc 0 — before running the compiled closure.  ``sources`` holds
+    the generated source of the entries compiled so far.
+    """
+
+    __slots__ = ("entry", "blocks", "tiers", "stats", "sources", "_compile")
 
     def __init__(self, entry, blocks: dict, tiers: dict, stats: dict,
-                 source: str) -> None:
-        self.entry = entry          # closure for pc 0, or None (empty code)
-        self.blocks = blocks        # start pc -> closure
+                 sources: dict, compile_entry) -> None:
+        self.entry = entry          # closure or stub for pc 0, or None
+        self.blocks = blocks        # start pc -> closure or stub
         self.tiers = tiers          # start pc -> TIER_* string
         self.stats = stats          # compile-time counts (tests, --profile)
-        self.source = source        # generated fused-block source (tests)
+        self.sources = sources      # start pc -> source, compiled entries
+        self._compile = compile_entry
+
+    @property
+    def source(self) -> str:
+        """Generated source of the compiled entries, in pc order (tests)."""
+        return "\n".join(self.sources[pc] for pc in sorted(self.sources))
+
+    def compile_all(self) -> None:
+        """Compile every fused entry not entered yet (tests, benches)."""
+        for start, tier in self.tiers.items():
+            if tier == TIER_FUSED:
+                self._compile(start)
 
 
 # -- classification -----------------------------------------------------------
@@ -1281,9 +1323,19 @@ def _make_bailout_block(start: int):
 # -- program compilation ------------------------------------------------------
 
 
+def _make_stub(compile_entry, start: int):
+    """First-entry stand-in for the fused superblock at ``start``."""
+
+    def stub(m, frame, depth, gas, steps):
+        return compile_entry(start)(m, frame, depth, gas, steps)
+
+    return stub
+
+
 def _compile_program(code: bytes, mask: int) -> FusedProgram:
+    """Classify every block and build everything but the fused
+    superblocks, which compile on first entry (see :class:`FusedProgram`)."""
     global _programs, _blocks_fused, _blocks_interp, _blocks_bailout
-    global _folded_ops, _inlined_ops, _threaded_jumps, _chained_blocks
     analysis = analyze_code(code)
     cfg = build_cfg(code)
     blocks: dict[int, object] = {}
@@ -1352,15 +1404,41 @@ def _compile_program(code: bytes, mask: int) -> FusedProgram:
             ns[name] = data
         return name
 
-    lines: list[str] = []
-    fused_starts: list[int] = []
+    filename = f"<fusion:{hashlib.sha256(code).hexdigest()[:12]}:{mask:#x}>"
+    sources: dict[int, str] = {}
+
+    def compile_entry(start: int):
+        """Emit, compile and install the superblock entered at ``start``.
+        Idempotent: a stub reference read before the install (by a frame
+        mid-execution, say) finds the compiled closure."""
+        global _entries_compiled
+        global _folded_ops, _inlined_ops, _threaded_jumps, _chained_blocks
+        if start in sources:
+            return blocks[start]
+        counts = {"folded": 0, "inlined": 0, "threaded": 0, "chained": 0}
+        lines: list[str] = []
+        _emit_fused_block(cfg.blocks[start], analysis, cfg, mask, ns, hname,
+                          sname, bname, lines, counts, tiers)
+        source = "\n".join(lines)
+        exec(compile(source, filename, "exec"), ns)  # rebinds B{start}
+        closure = blocks[start] = ns[f"B{start}"]
+        sources[start] = source
+        if start == 0:
+            program.entry = closure
+        for key, count in counts.items():
+            stats[key] += count
+        _entries_compiled += 1
+        _folded_ops += counts["folded"]
+        _inlined_ops += counts["inlined"]
+        _threaded_jumps += counts["threaded"]
+        _chained_blocks += counts["chained"]
+        return closure
+
     for start in sorted(cfg.blocks):
         block = cfg.blocks[start]
         tier, reason = tiers[start], reasons[start]
         if tier == TIER_FUSED:
-            _emit_fused_block(block, analysis, cfg, mask, ns, hname, sname,
-                              bname, lines, stats, tiers)
-            fused_starts.append(start)
+            blocks[start] = _make_stub(compile_entry, start)
             stats["fused"] += 1
         elif tier == TIER_INTERP:
             blocks[start] = _make_interp_block(block, analysis, blocks)
@@ -1370,15 +1448,8 @@ def _compile_program(code: bytes, mask: int) -> FusedProgram:
             blocks[start] = _make_bailout_block(start)
             stats["bailout"] += 1
             stats["reasons"][reason] = stats["reasons"].get(reason, 0) + 1
-
-    source = "\n".join(lines)
-    if fused_starts:
-        digest = hashlib.sha256(code).hexdigest()[:12]
-        exec(compile(source, f"<fusion:{digest}:{mask:#x}>", "exec"), ns)
-        for start in fused_starts:
-            blocks[start] = ns[f"B{start}"]
-    # every block closure is reachable by name from generated code
-    # (threaded returns may target interp/bailout blocks too)
+    # every block closure (or stub) is reachable by name from generated
+    # code (threaded returns may target interp/bailout blocks too)
     for start, closure in blocks.items():
         ns[f"B{start}"] = closure
 
@@ -1386,13 +1457,12 @@ def _compile_program(code: bytes, mask: int) -> FusedProgram:
     _blocks_fused += stats["fused"]
     _blocks_interp += stats["interp"]
     _blocks_bailout += stats["bailout"]
-    _folded_ops += stats["folded"]
-    _inlined_ops += stats["inlined"]
-    _threaded_jumps += stats["threaded"]
-    _chained_blocks += stats["chained"]
     for reason, count in stats["reasons"].items():
         _fallback_reasons[reason] = _fallback_reasons.get(reason, 0) + count
-    return FusedProgram(blocks.get(0), blocks, tiers, stats, source)
+    # bound to a name: compile_entry installs entry 0 as ``program.entry``
+    program = FusedProgram(blocks.get(0), blocks, tiers, stats, sources,
+                           compile_entry)
+    return program
 
 
 # -- process-level cache ------------------------------------------------------
@@ -1445,6 +1515,7 @@ def fusion_stats() -> dict:
         "inlined_ops": _inlined_ops,
         "threaded_jumps": _threaded_jumps,
         "chained_blocks": _chained_blocks,
+        "entries_compiled": _entries_compiled,
         "fused_steps": _FUSED_STEPS[0],
         "runtime_bailouts": _runtime_bailouts,
         "fallback_reasons": dict(_fallback_reasons),
@@ -1458,7 +1529,7 @@ def clear_cache() -> None:
     """Drop every cached program and reset the counters (tests)."""
     global _programs, _blocks_fused, _blocks_interp, _blocks_bailout
     global _folded_ops, _inlined_ops, _threaded_jumps, _chained_blocks
-    global _runtime_bailouts, _hits, _misses
+    global _entries_compiled, _runtime_bailouts, _hits, _misses
     _cache.clear()
     _id_memo.clear()
     _programs = 0
@@ -1469,6 +1540,7 @@ def clear_cache() -> None:
     _inlined_ops = 0
     _threaded_jumps = 0
     _chained_blocks = 0
+    _entries_compiled = 0
     _runtime_bailouts = 0
     _fallback_reasons.clear()
     _FUSED_STEPS[0] = 0

@@ -2,16 +2,23 @@
 
 Covers the compile-time machinery directly — constant folding (values and
 shadows), PUSH+JUMP threading, tier classification and fallback reasons,
-the mask-keyed program memo — plus end-to-end differential checks that a
-fused Machine reproduces the table loop byte for byte on hand-written
-programs exercising every tier and bailout path.  The hypothesis-based
-differential sweep lives in test_properties.py.
+the mask-keyed program memo, compile on first entry — plus end-to-end
+differential checks that a fused Machine reproduces the table loop byte
+for byte on hand-written programs exercising every tier and bailout path,
+and on superblocks that compile mid-campaign or under a reentrant frame.
+The hypothesis-based differential sweep lives in test_properties.py.
 """
+
+import sys
 
 import pytest
 
+from repro.chain import Chain, ReentrantAgent
 from repro.chain.blockchain import BlockContext
 from repro.chain.state import WorldState
+from repro.chain.transactions import Transaction
+from repro.compiler import compile_source, encode_call
+from repro.corpus import generate_d3
 from repro.evm import fusion
 from repro.evm.fusion import (
     FUSION_BAILOUT,
@@ -25,6 +32,10 @@ from repro.evm.fusion import (
 from repro.evm.machine import Machine, Message
 from repro.evm.opcodes import Op
 from repro.evm.trace import EV_ALL, EV_BRANCH, EV_COMPARE, EV_OVERFLOW
+from repro.orchestrator import run_matrix
+from repro.orchestrator.store import canonical_json
+from tests.conftest import ALICE
+from tests.test_chain import VAULT
 
 U256 = 1 << 256
 
@@ -44,6 +55,15 @@ def asm(*ops) -> bytes:
 
 def push1(v):
     return (v, 1)
+
+
+def compiled_program(code: bytes, event_mask: int):
+    """The fused program with every entry compiled, so its ``source`` and
+    compile-time ``stats`` cover all of it (entries otherwise compile on
+    first entry)."""
+    program = fused_program(code, event_mask)
+    program.compile_all()
+    return program
 
 
 def run_code(code: bytes, *, block_fusion: bool, event_mask: int = EV_ALL,
@@ -98,7 +118,7 @@ class TestFolding:
     def test_push_push_add_folds_to_literal(self):
         # PUSH 2, PUSH 3, ADD, PUSH 0, SSTORE
         code = asm(push1(2), push1(3), Op.ADD, push1(0), Op.SSTORE, Op.STOP)
-        program = fused_program(code, 0)
+        program = compiled_program(code, 0)
         assert program.stats["folded"] >= 1
         # the folded 5 flows straight into the inlined SSTORE as a baked
         # literal — it is never materialized on the runtime stack
@@ -112,20 +132,20 @@ class TestFolding:
     def test_overflow_event_blocks_wrapping_fold(self):
         # 2**255 * 2 truncates: must NOT fold while EV_OVERFLOW subscribed
         code = asm((1 << 255, 32), push1(2), Op.MUL, Op.POP, Op.STOP)
-        masked = fused_program(code, EV_OVERFLOW)
-        unmasked = fused_program(code, 0)
+        masked = compiled_program(code, EV_OVERFLOW)
+        unmasked = compiled_program(code, 0)
         assert masked.stats["folded"] < unmasked.stats["folded"]
         # ...and the runtime handler actually records the event
         _, m = run_code(code, block_fusion=True, event_mask=EV_OVERFLOW)
         assert len(m.trace.overflows) == 1
         # non-truncating arithmetic still folds under the same mask
         benign = asm(push1(2), push1(3), Op.ADD, Op.POP, Op.STOP)
-        assert fused_program(benign, EV_OVERFLOW).stats["folded"] >= 1
+        assert compiled_program(benign, EV_OVERFLOW).stats["folded"] >= 1
 
     def test_compare_event_blocks_comparison_fold(self):
         code = asm(push1(1), push1(2), Op.GT, push1(0), Op.SSTORE, Op.STOP)
-        assert fused_program(code, EV_COMPARE).stats["folded"] == 0
-        folded = fused_program(code, 0)
+        assert compiled_program(code, EV_COMPARE).stats["folded"] == 0
+        folded = compiled_program(code, 0)
         assert folded.stats["folded"] >= 1
         # GT pops x=2 (top), y=1: 2 > 1 → 1, baked into the inlined SSTORE
         assert ("m.world.set_storage(frame.msg.address, 0, 1, "
@@ -150,7 +170,7 @@ class TestFolding:
     def test_dup_swap_pop_operate_on_pending(self):
         code = asm(push1(7), push1(9), Op.SWAP1, Op.DUP2, Op.ADD, Op.POP,
                    Op.POP, Op.STOP)
-        program = fused_program(code, 0)
+        program = compiled_program(code, 0)
         # every op folded away: no runtime stack traffic at all (only the
         # overflow precheck inspects the stack)
         assert "append" not in program.source
@@ -162,7 +182,7 @@ class TestFolding:
         # DIV pops x=20 (top), y... handler computes top / next: 20/5 = 4
         code = asm(push1(5), push1(20), Op.DIV, push1(0), Op.SSTORE,
                    Op.STOP)
-        program = fused_program(code, EV_ALL)
+        program = compiled_program(code, EV_ALL)
         assert program.stats["folded"] >= 1
         _, m = run_code(code, block_fusion=True)
         assert m.world.account(0xAAA).storage[0] == 4
@@ -185,7 +205,7 @@ class TestThreading:
     def test_static_jump_threads_and_chains_inline(self):
         code = asm(push1(4), Op.JUMP, Op.INVALID,    # pc 3 INVALID padding
                    Op.JUMPDEST, Op.STOP)             # pc 4 JUMPDEST
-        program = fused_program(code, 0)
+        program = compiled_program(code, 0)
         assert program.stats["threaded"] == 1
         # the target block is spliced into B0's body (superblock chain):
         # its decline guard resumes the table at pc 4, and no trampoline
@@ -206,7 +226,7 @@ class TestThreading:
                    Op.JUMPDEST,                    # pc 10
                    push1(1), Op.SWAP1, Op.SUB,     # pc 11..14
                    push1(2), Op.JUMP)              # pc 15..17
-        program = fused_program(code, 0)
+        program = compiled_program(code, 0)
         assert program.stats["threaded"] >= 2
         res, m = assert_differential(code, event_mask=EV_ALL)
         assert res.success
@@ -308,8 +328,8 @@ class TestTiers:
 class TestCache:
     def test_programs_specialize_per_mask(self):
         code = asm(push1(1), push1(2), Op.LT, Op.POP, Op.STOP)
-        folded = fused_program(code, 0)
-        unfolded = fused_program(code, EV_COMPARE)
+        folded = compiled_program(code, 0)
+        unfolded = compiled_program(code, EV_COMPARE)
         assert folded is not unfolded
         assert folded.stats["folded"] > unfolded.stats["folded"]
 
@@ -344,6 +364,163 @@ class TestCache:
         assert res.success
 
 
+# -- compile on first entry ---------------------------------------------------
+
+#: a dynamic dispatcher: B0 jumps to the pc held in calldata word 0, and
+#: three JUMPDEST entries each store a distinct value and stop
+DISPATCH = asm(push1(0), Op.CALLDATALOAD, Op.JUMP,        # pc 0..3
+               Op.JUMPDEST, push1(1), push1(0), Op.SSTORE, Op.STOP,  # pc 4
+               Op.JUMPDEST, push1(2), push1(0), Op.SSTORE, Op.STOP,  # pc 11
+               Op.JUMPDEST, push1(3), push1(0), Op.SSTORE, Op.STOP)  # pc 18
+
+
+def _entered_entries(run) -> set:
+    """Start pcs of the generated superblocks ``run()`` calls: the
+    entries a transaction enters (chained bodies run inline, uncalled)."""
+    entered = set()
+
+    def profile(frame, event, arg):
+        code = frame.f_code
+        if (event == "call" and code.co_filename.startswith("<fusion:")
+                and code.co_name != "<module>"):  # not the exec itself
+            entered.add(int(code.co_name[1:]))
+
+    sys.setprofile(profile)
+    try:
+        run()
+    finally:
+        sys.setprofile(None)
+    return entered
+
+
+class TestLazyCompile:
+    def test_nothing_compiles_until_entered(self):
+        program = fused_program(DISPATCH, EV_ALL)
+        assert sorted(program.tiers) == [0, 4, 11, 18]
+        assert set(program.tiers.values()) == {TIER_FUSED}
+        assert program.sources == {}
+        assert program.source == ""
+        stats = fusion_stats()
+        # classification counts at creation, emission counts on entry
+        assert stats["programs"] == 1 and stats["blocks_fused"] == 4
+        assert stats["entries_compiled"] == 0
+        assert stats["folded_ops"] == stats["inlined_ops"] == 0
+
+        for dest, stored, entered in ((11, 2, {0, 11}), (11, 2, {0, 11}),
+                                      (18, 3, {0, 11, 18})):
+            data = dest.to_bytes(32, "big")
+            res, m = assert_differential(DISPATCH, calldata=data)
+            assert res.success
+            assert m.world.account(0xAAA).storage[0] == stored
+            assert fused_program(DISPATCH, EV_ALL) is program
+            assert set(program.sources) == entered
+            assert fusion_stats()["entries_compiled"] == len(entered)
+        assert program.entry is program.blocks[0]
+        assert program.entry.__name__ == "B0"
+        assert program.blocks[4].__name__ == "stub"  # never entered
+        # compile_all compiles only what is left
+        program.compile_all()
+        assert set(program.sources) == {0, 4, 11, 18}
+        assert fusion_stats()["entries_compiled"] == 4
+
+    def test_transaction_compiles_exactly_the_entries_it_enters(
+            self, crowdsale_artifact):
+        chain = Chain(block_fusion=True)
+        chain.create_account(ALICE)
+        deployed = chain.deploy(crowdsale_artifact, sender=ALICE)
+        program = fused_program(crowdsale_artifact.runtime_code,
+                                chain.event_mask)
+        calls = [("invest", [5]), ("refund", []), ("invest", [10 ** 21]),
+                 ("invest", [1]), ("withdraw", [])]
+        for name, args in calls:
+            data = encode_call(crowdsale_artifact.abi.function(name), args)
+            before = set(program.sources)
+            entered = _entered_entries(lambda: chain.apply(Transaction(
+                sender=ALICE, to=deployed.address, data=data)))
+            assert entered
+            assert set(program.sources) == before | entered
+        fused = {pc for pc, tier in program.tiers.items()
+                 if tier == TIER_FUSED}
+        assert set(program.sources) < fused  # never the whole program
+
+    def test_partially_compiled_program_serves_a_second_campaign(self):
+        contract = generate_d3(count=2)[1]
+
+        def campaign(preset: str) -> str:
+            run = run_matrix([(contract.name, contract.source)],
+                             presets=(preset,), trials=1,
+                             overrides={"iterations": 30, "rng_seed": 11},
+                             workers=1, backend="inline")
+            assert not run.errors and not run.timeouts
+            return canonical_json({o.job.job_id: {**o.result.to_dict(),
+                                                  "wall_time": 0.0}
+                                   for o in run.outcomes})
+
+        campaign("mufuzz")
+        first = fusion_stats()
+        assert 0 < first["entries_compiled"] < first["blocks_fused"]
+        reused = campaign("sfuzz")
+        second = fusion_stats()
+        # sfuzz found every program mufuzz built, and entered new entries
+        assert second["misses"] == first["misses"]
+        assert second["entries_compiled"] > first["entries_compiled"]
+
+        fusion.clear_cache()
+        assert campaign("sfuzz") == reused
+
+    def test_reentrant_frame_compiles_entries_under_the_outer_frame(self):
+        artifact = compile_source(VAULT)
+        attacker = 0x333
+
+        class CountingAgent(ReentrantAgent):
+            """Records how many entries of the vault's program are
+            compiled around each reentry, i.e. while the outer frame is
+            mid-execution."""
+
+            def __init__(self, address):
+                super().__init__(address)
+                self.compiled = []
+
+            def on_call(self, machine, msg, depth):
+                program = fused_program(artifact.runtime_code,
+                                        machine.event_mask)
+                before = len(program.sources)
+                result = super().on_call(machine, msg, depth)
+                self.compiled.append((before, len(program.sources)))
+                return result
+
+        def attack(block_fusion: bool):
+            chain = Chain(block_fusion=block_fusion)
+            chain.create_account(ALICE)
+            agent = CountingAgent(attacker)
+            chain.register_agent(attacker, agent)
+            deployed = chain.deploy(artifact, sender=ALICE)
+            join = artifact.abi.function("join")
+            redeem = artifact.abi.function("redeem")
+            chain.apply(Transaction(sender=ALICE, to=deployed.address,
+                                    value=10_000, data=encode_call(join, [])))
+            chain.apply(Transaction(sender=attacker, to=deployed.address,
+                                    value=1_000, data=encode_call(join, [])))
+            agent.arm(encode_call(redeem, []))
+            receipt = chain.apply(Transaction(
+                sender=attacker, to=deployed.address,
+                data=encode_call(redeem, [])))
+            account = chain.world.account(deployed.address)
+            return (receipt.success, receipt.returndata, receipt.error,
+                    _trace_tuple(receipt), account.storage,
+                    account.storage_shadow, account.balance,
+                    chain.world.get_balance(attacker)), agent.compiled
+
+        table, _ = attack(block_fusion=False)
+        fused, compiled = attack(block_fusion=True)
+        assert fused == table
+        assert any(c.reentrant for c in table[3][2])
+        # the outermost reentry (recorded last) compiled entries the outer
+        # frame had not entered yet, and the outer frame then ran them
+        before, after = compiled[-1]
+        assert after > before
+
+
 # -- telemetry ----------------------------------------------------------------
 
 
@@ -360,6 +537,7 @@ class TestTelemetry:
         assert counters["fusion.blocks.fused"] >= 1
         assert counters["fusion.blocks.interp"] >= 1
         assert counters["fusion.threaded_jumps"] >= 1
+        assert counters["fusion.entries_compiled"] >= 1
         assert counters["fusion.fallback.gas_observing"] >= 1
         assert counters["fusion.fused_steps"] >= 1
 
