@@ -355,8 +355,7 @@ def _block_fusion_series(contracts, iters: int) -> dict:
             ratios.append(elapsed["off"] / elapsed["on"])
     ratios.sort()
     stats = fusion.fusion_stats()
-    blocks = (stats["blocks_fused"] + stats["blocks_interp"]
-              + stats["blocks_bailout"])
+    blocks = stats["blocks_fused"] + stats["blocks_bailout"]
     return {
         "speedup": round(ratios[len(ratios) // 2], 3) if ratios else None,
         "fused_steps_per_sec": (round(steps / total["on"])
@@ -376,7 +375,7 @@ def _block_fusion_series(contracts, iters: int) -> dict:
 
 def _profile_breakdown(contracts, iters: int) -> list[str]:
     """``--profile``: run a fused campaign under cProfile and attribute
-    interpreter time per opcode handler and per fused/interp block.
+    interpreter time per opcode handler and per fused block.
 
     Handler functions are mapped back to mnemonics through
     ``SIMPLE_HANDLERS`` (the factory-made closures all share the name
@@ -436,7 +435,6 @@ def _profile_breakdown(contracts, iters: int) -> list[str]:
     fstats = fusion.fusion_stats()
     lines.append(f"fusion: {fstats['programs']} programs, "
                  f"{fstats['blocks_fused']} fused / "
-                 f"{fstats['blocks_interp']} interp / "
                  f"{fstats['blocks_bailout']} bailout blocks, "
                  f"{fstats['folded_ops']} ops folded, "
                  f"{fstats['threaded_jumps']} jumps threaded, "

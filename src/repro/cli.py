@@ -564,10 +564,14 @@ def cmd_campaign(args) -> int:
         disable=disable, telemetry=telemetry, store=args.store)
 
     if run.results_dir is not None:
-        backend_note = ((run.stats.store or {}).get("backend")
-                        or "json")
-        log.info(f"results dir: {run.results_dir} [{backend_note} store] "
-                 f"({run.cached} cached, {run.executed} executed)")
+        store_stats = run.stats.store or {}
+        counts = f"{run.cached} cached, {run.executed} executed"
+        if store_stats.get("records_unreadable"):
+            counts += (f", {store_stats['records_unreadable']} unreadable "
+                       f"record(s) rerun")
+        log.info(f"results dir: {run.results_dir} "
+                 f"[{store_stats.get('backend') or 'json'} store] "
+                 f"({counts})")
     stats = run.stats
     if run.executed and (stats.compile_cache_hits
                          or stats.compile_cache_misses):

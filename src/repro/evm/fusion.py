@@ -39,23 +39,25 @@ against the mask — the machine derives its ``rec_*`` flags from the same
 unconditionally and unsubscribed ones produce no generated code at all.
 Ops without an inline expansion dispatch through the **same per-opcode
 handler functions** as the table loop, so trace and rollback semantics
-are untouched by construction.  Three tiers:
+are untouched by construction.  Two tiers:
 
 * **fused** — the generated closure described above (the common case);
-* **interp** — blocks containing a gas-observing opcode (GAS / CALL /
-  DELEGATECALL): those handlers read the running gas counter, so the block
-  executes with exact per-instruction gas/step accounting over a
-  precomputed entry list (the PR 3 table semantics, minus the per-pc
-  probes);
-* **bailout** — blocks containing an undefined byte or an
-  always-raising opcode (CREATE, unhandled): the closure immediately
-  returns the :data:`FUSION_BAILOUT` sentinel and the machine finishes the
-  frame on the plain table loop, reproducing the exact error.
+* **bailout** — blocks containing a gas-observing opcode (GAS / CALL /
+  DELEGATECALL, whose handlers read the running gas counter), an
+  undefined byte, or an always-raising opcode (CREATE, unhandled): the
+  closure immediately returns the :data:`FUSION_BAILOUT` sentinel and the
+  machine finishes the frame on the plain table loop, with exact
+  per-instruction gas and steps (and the exact error, where there is one).
+
+The table loop and the fused emitter are thus the only two
+implementations of per-opcode semantics.  Every CALL and DELEGATECALL
+runs on the table loop, so nested frames start only from it: no fused
+closure is ever suspended under another frame.
 
 Superblocks compile **on first entry**.  :func:`fused_program` does the
 cheap whole-program work up front: code analysis, the CFG, tier
-classification, the interp and bailout closures, and the namespace the
-generated code runs in.  Each fused-tier entry starts as a stub, both in
+classification, the bailout closures, and the namespace the generated
+code runs in.  Each fused-tier entry starts as a stub, both in
 the program's block map and under its ``B{pc}`` name in that namespace.
 The stub's first call emits the entry's superblock, compiles it and execs
 it into the namespace (rebinding ``B{pc}``), replaces itself in the block
@@ -107,25 +109,8 @@ from collections import OrderedDict
 from repro import layers
 from repro.analysis.absint import fold_binary
 from repro.analysis.cfg import build_cfg
-from repro.evm.analysis import (
-    KIND_CALL,
-    KIND_DUP,
-    KIND_JUMP,
-    KIND_JUMPDEST,
-    KIND_JUMPI,
-    KIND_PUSH,
-    KIND_SIMPLE,
-    KIND_STOP,
-    KIND_SWAP,
-    analyze_code,
-)
-from repro.evm.errors import (
-    InvalidJump,
-    InvalidOpcode,
-    OutOfGas,
-    StackOverflow,
-    StackUnderflow,
-)
+from repro.evm.analysis import analyze_code
+from repro.evm.errors import InvalidJump
 from repro.evm.handlers import (
     CALLDATA_SHADOW,
     CALLER_SHADOW,
@@ -189,7 +174,8 @@ _TERMINATOR_OPS = frozenset({
 })
 
 #: the only handlers that read their ``gas`` argument — blocks containing
-#: one execute on the interp tier with exact per-instruction gas
+#: one take the bailout tier, so the table loop runs them with exact
+#: per-instruction gas
 _GAS_OBSERVING = frozenset({Op.GAS, Op.CALL, Op.DELEGATECALL})
 
 #: comparison opcodes → handler name string (folding mirrors
@@ -206,7 +192,6 @@ _WRAP_FOLD = frozenset({Op.ADD, Op.SUB, Op.MUL})
 _PURE_FOLD = frozenset({Op.DIV, Op.MOD, Op.EXP, Op.XOR, Op.SHL, Op.SHR})
 
 TIER_FUSED = "fused"
-TIER_INTERP = "interp"
 TIER_BAILOUT = "bailout"
 
 # -- telemetry ----------------------------------------------------------------
@@ -220,7 +205,6 @@ TIER_BAILOUT = "bailout"
 
 _T_PROGRAMS = _metrics.counter("fusion.programs_compiled")
 _T_FUSED = _metrics.counter("fusion.blocks.fused")
-_T_INTERP = _metrics.counter("fusion.blocks.interp")
 _T_BAILOUT = _metrics.counter("fusion.blocks.bailout")
 _T_FOLDED = _metrics.counter("fusion.folded_ops")
 _T_INLINED = _metrics.counter("fusion.inlined_ops")
@@ -239,7 +223,6 @@ _T_REASONS = {
 
 _programs = 0
 _blocks_fused = 0
-_blocks_interp = 0
 _blocks_bailout = 0
 _folded_ops = 0
 _inlined_ops = 0
@@ -256,7 +239,6 @@ _FUSED_STEPS = [0]
 def _collect_fusion_counters() -> None:
     _T_PROGRAMS.set_total(_programs)
     _T_FUSED.set_total(_blocks_fused)
-    _T_INTERP.set_total(_blocks_interp)
     _T_BAILOUT.set_total(_blocks_bailout)
     _T_FOLDED.set_total(_folded_ops)
     _T_INLINED.set_total(_inlined_ops)
@@ -284,7 +266,7 @@ class FusedProgram:
     """The block map for one ``(code, event_mask)`` pair.
 
     Everything but the fused superblocks is built when the program is
-    created: tiers, the interp/bailout closures, the shared namespace.
+    created: tiers, the bailout closures, the shared namespace.
     Each fused-tier entry starts as a stub (in ``blocks`` and, as
     ``B{pc}``, in the namespace) that emits, compiles and installs its
     superblock the first time it runs, replacing itself — and ``entry``
@@ -338,7 +320,7 @@ def _classify(block) -> tuple[str, str | None]:
             # defined-but-unimplemented: raises InvalidOpcode when reached
             return TIER_BAILOUT, "raising"
     if reason is not None:
-        return TIER_INTERP, reason
+        return TIER_BAILOUT, reason
     return TIER_FUSED, None
 
 
@@ -1204,113 +1186,7 @@ def _emit_segment(block, analysis, cfg, mask, ns, hname, sname, bname, out,
             chain_or_goto(fall)
 
 
-# -- interp tier --------------------------------------------------------------
-
-
-def _make_interp_block(block, analysis, blocks):
-    """Per-opcode execution over a precomputed entry list: exact table-loop
-    semantics (gas decremented and step budget checked per instruction —
-    required because this tier exists precisely for the handlers that read
-    the running gas counter), minus the per-pc decode probes."""
-    decoded = analysis.decoded
-    jumpdests = analysis.jumpdests
-    code_len = analysis.code_len
-    end = block.end
-    entries = []
-    for ins in block.instructions:
-        kind, cost, a, b = decoded[ins.pc]
-        entries.append((kind, cost, a, b, ins.pc,
-                        ins.opcode == Op.REVERT))
-
-    def run(m, frame, depth, gas, steps):
-        stack = frame.stack
-        values = stack.values
-        shadows = stack.shadows
-        max_steps = m.max_steps
-        try:
-            for kind, cost, a, b, pc, sync in entries:
-                steps += 1
-                if steps > max_steps:
-                    raise OutOfGas("per-transaction step budget exhausted")
-                gas -= cost
-                if gas < 0:
-                    raise OutOfGas(f"out of gas at pc={pc}")
-                if kind == KIND_PUSH:
-                    if len(values) >= STACK_LIMIT:
-                        raise StackOverflow("stack limit of 1024 exceeded")
-                    values.append(a)
-                    shadows.append(EMPTY_SHADOW)
-                    continue
-                if kind == KIND_SIMPLE:
-                    if sync:
-                        m._sync_gas = gas
-                    result = a(m, pc, frame, depth, gas)
-                    if result is not None:
-                        tag, payload = result
-                        if tag == "halt":
-                            return None, gas, steps, payload
-                        gas = payload
-                    continue
-                if kind == KIND_CALL:
-                    m._steps = steps
-                    result = a(m, pc, frame, depth, gas)
-                    steps = m._steps
-                    gas = result[1]
-                    continue
-                if kind == KIND_DUP:
-                    stack.dup(a)
-                    continue
-                if kind == KIND_SWAP:
-                    stack.swap(a)
-                    continue
-                if kind == KIND_JUMPI:
-                    if not values:
-                        raise StackUnderflow("pop from empty stack")
-                    dest = values.pop()
-                    shadows.pop()
-                    if not values:
-                        raise StackUnderflow("pop from empty stack")
-                    cond = values.pop()
-                    cond_shadow = shadows.pop()
-                    taken = cond != 0
-                    m._record_branch(pc, frame.msg.address, depth, cond,
-                                     taken, dest, cond_shadow)
-                    if taken:
-                        if dest not in jumpdests:
-                            raise InvalidJump(f"JUMPI to {dest} at pc={pc}")
-                        nb = blocks.get(dest)
-                        if nb is None:
-                            return FUSION_BAILOUT, gas, steps, dest
-                        return nb, gas, steps, None
-                    continue
-                if kind == KIND_JUMP:
-                    if not values:
-                        raise StackUnderflow("pop from empty stack")
-                    shadows.pop()
-                    dest = values.pop()
-                    if dest not in jumpdests:
-                        raise InvalidJump(f"JUMP to {dest} at pc={pc}")
-                    nb = blocks.get(dest)
-                    if nb is None:
-                        return FUSION_BAILOUT, gas, steps, dest
-                    return nb, gas, steps, None
-                if kind == KIND_JUMPDEST:
-                    continue
-                if kind == KIND_STOP:
-                    return None, gas, steps, b""
-            if end >= code_len:
-                return None, gas, steps, b""
-            nb = blocks.get(end)
-            if nb is None:
-                return FUSION_BAILOUT, gas, steps, end
-            return nb, gas, steps, None
-        finally:
-            # keep the machine's step count exact across raising paths —
-            # the table loop's finally clause does the same
-            if steps > m._steps:
-                m._steps = steps
-
-    return run
+# -- bailout tier -------------------------------------------------------------
 
 
 def _make_bailout_block(start: int):
@@ -1335,13 +1211,13 @@ def _make_stub(compile_entry, start: int):
 def _compile_program(code: bytes, mask: int) -> FusedProgram:
     """Classify every block and build everything but the fused
     superblocks, which compile on first entry (see :class:`FusedProgram`)."""
-    global _programs, _blocks_fused, _blocks_interp, _blocks_bailout
+    global _programs, _blocks_fused, _blocks_bailout
     analysis = analyze_code(code)
     cfg = build_cfg(code)
     blocks: dict[int, object] = {}
-    stats = {"blocks": len(cfg.blocks), "fused": 0, "interp": 0,
-             "bailout": 0, "folded": 0, "inlined": 0, "threaded": 0,
-             "chained": 0, "reasons": {}}
+    stats = {"blocks": len(cfg.blocks), "fused": 0, "bailout": 0,
+             "folded": 0, "inlined": 0, "threaded": 0, "chained": 0,
+             "reasons": {}}
     ns: dict = {
         "FB": FUSION_BAILOUT,
         "FS": _FUSED_STEPS,
@@ -1409,8 +1285,8 @@ def _compile_program(code: bytes, mask: int) -> FusedProgram:
 
     def compile_entry(start: int):
         """Emit, compile and install the superblock entered at ``start``.
-        Idempotent: a stub reference read before the install (by a frame
-        mid-execution, say) finds the compiled closure."""
+        Idempotent: a second call (from ``compile_all``, say) returns the
+        closure the first one installed."""
         global _entries_compiled
         global _folded_ops, _inlined_ops, _threaded_jumps, _chained_blocks
         if start in sources:
@@ -1435,27 +1311,21 @@ def _compile_program(code: bytes, mask: int) -> FusedProgram:
         return closure
 
     for start in sorted(cfg.blocks):
-        block = cfg.blocks[start]
-        tier, reason = tiers[start], reasons[start]
-        if tier == TIER_FUSED:
+        if tiers[start] == TIER_FUSED:
             blocks[start] = _make_stub(compile_entry, start)
             stats["fused"] += 1
-        elif tier == TIER_INTERP:
-            blocks[start] = _make_interp_block(block, analysis, blocks)
-            stats["interp"] += 1
-            stats["reasons"][reason] = stats["reasons"].get(reason, 0) + 1
         else:
             blocks[start] = _make_bailout_block(start)
             stats["bailout"] += 1
+            reason = reasons[start]
             stats["reasons"][reason] = stats["reasons"].get(reason, 0) + 1
     # every block closure (or stub) is reachable by name from generated
-    # code (threaded returns may target interp/bailout blocks too)
+    # code (threaded returns may target bailout blocks too)
     for start, closure in blocks.items():
         ns[f"B{start}"] = closure
 
     _programs += 1
     _blocks_fused += stats["fused"]
-    _blocks_interp += stats["interp"]
     _blocks_bailout += stats["bailout"]
     for reason, count in stats["reasons"].items():
         _fallback_reasons[reason] = _fallback_reasons.get(reason, 0) + count
@@ -1509,7 +1379,8 @@ def fusion_stats() -> dict:
     return {
         "programs": _programs,
         "blocks_fused": _blocks_fused,
-        "blocks_interp": _blocks_interp,
+        # a constant, kept only because perfbench/trace.py reads this key
+        "blocks_interp": 0,
         "blocks_bailout": _blocks_bailout,
         "folded_ops": _folded_ops,
         "inlined_ops": _inlined_ops,
@@ -1527,14 +1398,13 @@ def fusion_stats() -> dict:
 
 def clear_cache() -> None:
     """Drop every cached program and reset the counters (tests)."""
-    global _programs, _blocks_fused, _blocks_interp, _blocks_bailout
+    global _programs, _blocks_fused, _blocks_bailout
     global _folded_ops, _inlined_ops, _threaded_jumps, _chained_blocks
     global _entries_compiled, _runtime_bailouts, _hits, _misses
     _cache.clear()
     _id_memo.clear()
     _programs = 0
     _blocks_fused = 0
-    _blocks_interp = 0
     _blocks_bailout = 0
     _folded_ops = 0
     _inlined_ops = 0

@@ -365,6 +365,7 @@ class StoreBackend:
         self.batch_flushes = 0
         self.queries = 0
         self.query_time_s = 0.0
+        self.records_unreadable = 0
 
     # -- paths ----------------------------------------------------------------
 
@@ -380,7 +381,8 @@ class StoreBackend:
     # -- records --------------------------------------------------------------
 
     def load(self, job: CampaignJob) -> JobOutcome | None:
-        """The cached outcome for ``job``, or None when absent or stale."""
+        """The cached outcome for ``job``, or None when absent, stale or
+        unreadable (see :meth:`_note_unreadable`)."""
         raise NotImplementedError
 
     def save(self, outcome: JobOutcome):
@@ -522,7 +524,20 @@ class StoreBackend:
             "queries": self.queries,
             "query_ms": round(self.query_time_s * 1000.0, 3),
             "temps_swept": self.temps_swept,
+            "records_unreadable": self.records_unreadable,
         }
+
+    def _note_unreadable(self, job_id: str) -> None:
+        """A record for ``job_id`` exists but does not parse: the caller
+        treats it as missing, so the cell reruns and its fresh record
+        replaces this one.  Counted and logged, never silent (a missing
+        record or a stale fingerprint is an ordinary miss)."""
+        # imported here, on this rare path: ``logging`` would otherwise
+        # load into every process that opens a store
+        from repro.telemetry import log
+        self.records_unreadable += 1
+        log.warning("unreadable result record; rerunning its cell",
+                    job=job_id, store=self.name)
 
     def _count_saved(self, rows: int = 1) -> None:
         global _records_saved_total, _rows_written_total

@@ -48,16 +48,24 @@ class JsonResultStore(StoreBackend):
                       and not path.name.endswith(TELEMETRY_SUFFIX))
 
     def load(self, job: CampaignJob) -> JobOutcome | None:
-        """The cached outcome for ``job``, or None when absent or stale."""
+        """The cached outcome for ``job``, or None when absent, stale or
+        unreadable."""
         try:
             record = json.loads(self.path_for(job).read_text())
+        except FileNotFoundError:
+            return None
         except (OSError, ValueError):
+            record = None
+        if not isinstance(record, dict):
+            self._note_unreadable(job.job_id)
             return None
         if not record_is_fresh(record, job):
             return None
         outcome = outcome_from_record(job, record)
-        if outcome is not None:
-            self._count_loaded()
+        if outcome is None:
+            self._note_unreadable(job.job_id)
+            return None
+        self._count_loaded()
         return outcome
 
     def save(self, outcome: JobOutcome) -> Path | None:

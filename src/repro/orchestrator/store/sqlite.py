@@ -221,12 +221,13 @@ class SqliteResultStore(StoreBackend):
                     if fingerprint != job.fingerprint() or status != "ok":
                         continue
                     try:
-                        record = json.loads(text)
+                        outcome = outcome_from_record(job, json.loads(text))
                     except ValueError:
+                        outcome = None
+                    if outcome is None:
+                        self._note_unreadable(job_id)
                         continue
-                    outcome = outcome_from_record(job, record)
-                    if outcome is not None:
-                        out[job_id] = outcome
+                    out[job_id] = outcome
         self._count_query(time.perf_counter() - start)
         self._count_loaded(len(out))
         return out

@@ -5,15 +5,17 @@ shadows), PUSH+JUMP threading, tier classification and fallback reasons,
 the mask-keyed program memo, compile on first entry — plus end-to-end
 differential checks that a fused Machine reproduces the table loop byte
 for byte on hand-written programs exercising every tier and bailout path,
-and on superblocks that compile mid-campaign or under a reentrant frame.
-The hypothesis-based differential sweep lives in test_properties.py.
+on compiled contracts whose frames hand off to the table loop at a CALL
+or DELEGATECALL, and on superblocks that compile mid-campaign or under a
+reentrant frame.  The hypothesis-based differential sweep lives in
+test_properties.py.
 """
 
 import sys
 
 import pytest
 
-from repro.chain import Chain, ReentrantAgent
+from repro.chain import BenignAgent, Chain, ReentrantAgent, RejectingAgent
 from repro.chain.blockchain import BlockContext
 from repro.chain.state import WorldState
 from repro.chain.transactions import Transaction
@@ -24,7 +26,6 @@ from repro.evm.fusion import (
     FUSION_BAILOUT,
     TIER_BAILOUT,
     TIER_FUSED,
-    TIER_INTERP,
     FusedProgram,
     fused_program,
     fusion_stats,
@@ -35,7 +36,6 @@ from repro.evm.trace import EV_ALL, EV_BRANCH, EV_COMPARE, EV_OVERFLOW
 from repro.orchestrator import run_matrix
 from repro.orchestrator.store import canonical_json
 from tests.conftest import ALICE
-from tests.test_chain import VAULT
 
 U256 = 1 << 256
 
@@ -252,13 +252,16 @@ class TestThreading:
 
 
 class TestTiers:
-    def test_gas_observing_block_takes_interp_tier(self):
+    def test_gas_observing_block_takes_bailout_tier(self):
         code = asm(Op.GAS, Op.POP, Op.STOP)
         program = fused_program(code, 0)
-        assert program.tiers[0] == TIER_INTERP
+        assert program.tiers[0] == TIER_BAILOUT
         assert program.stats["reasons"] == {"gas_observing": 1}
-        res, _ = assert_differential(code)
+        before = fusion_stats()["runtime_bailouts"]
+        res, _ = assert_differential(code)  # GAS reads the exact counter
         assert res.success
+        # entering the block hands the whole frame to the table loop once
+        assert fusion_stats()["runtime_bailouts"] - before == 1
 
     def test_create_block_takes_bailout_tier(self):
         code = asm(push1(0), push1(0), push1(0), Op.CREATE, Op.STOP)
@@ -374,6 +377,28 @@ DISPATCH = asm(push1(0), Op.CALLDATALOAD, Op.JUMP,        # pc 0..3
                Op.JUMPDEST, push1(3), push1(0), Op.SSTORE, Op.STOP)  # pc 18
 
 
+#: a reentrancy vault with one more function, ``poke``, whose loop header
+#: (a back-edge target) is an entry that only a reentering agent enters
+POKE_VAULT = """
+contract Vault {
+    mapping(address => uint256) shares;
+    uint256 pokes;
+    function join() public payable { shares[msg.sender] += msg.value; }
+    function redeem() public {
+        uint256 owed = shares[msg.sender];
+        if (owed > 0) {
+            bool sent = msg.sender.call.value(owed)();
+            require(sent);
+            shares[msg.sender] = 0;
+        }
+    }
+    function poke(uint256 n) public {
+        for (uint256 i = 0; i < n; i++) { pokes += 1; }
+    }
+}
+"""
+
+
 def _entered_entries(run) -> set:
     """Start pcs of the generated superblocks ``run()`` calls: the
     entries a transaction enters (chained bodies run inline, uncalled)."""
@@ -468,14 +493,15 @@ class TestLazyCompile:
         fusion.clear_cache()
         assert campaign("sfuzz") == reused
 
-    def test_reentrant_frame_compiles_entries_under_the_outer_frame(self):
-        artifact = compile_source(VAULT)
+    def test_nested_frame_compiles_entries_while_outer_waits_on_table(
+            self):
+        artifact = compile_source(POKE_VAULT)
         attacker = 0x333
 
         class CountingAgent(ReentrantAgent):
-            """Records how many entries of the vault's program are
-            compiled around each reentry, i.e. while the outer frame is
-            mid-execution."""
+            """Records, around each reentry, how many entries of the
+            vault's program are compiled and how many frames have handed
+            off to the table loop so far."""
 
             def __init__(self, address):
                 super().__init__(address)
@@ -485,8 +511,10 @@ class TestLazyCompile:
                 program = fused_program(artifact.runtime_code,
                                         machine.event_mask)
                 before = len(program.sources)
+                handoffs = fusion_stats()["runtime_bailouts"]
                 result = super().on_call(machine, msg, depth)
-                self.compiled.append((before, len(program.sources)))
+                self.compiled.append((before, len(program.sources),
+                                      handoffs))
                 return result
 
         def attack(block_fusion: bool):
@@ -501,7 +529,9 @@ class TestLazyCompile:
                                     value=10_000, data=encode_call(join, [])))
             chain.apply(Transaction(sender=attacker, to=deployed.address,
                                     value=1_000, data=encode_call(join, [])))
-            agent.arm(encode_call(redeem, []))
+            # the nested frame runs a loop no frame has entered yet
+            agent.arm(encode_call(artifact.abi.function("poke"), [3]))
+            start = fusion_stats()["runtime_bailouts"]
             receipt = chain.apply(Transaction(
                 sender=attacker, to=deployed.address,
                 data=encode_call(redeem, [])))
@@ -509,16 +539,117 @@ class TestLazyCompile:
             return (receipt.success, receipt.returndata, receipt.error,
                     _trace_tuple(receipt), account.storage,
                     account.storage_shadow, account.balance,
-                    chain.world.get_balance(attacker)), agent.compiled
+                    chain.world.get_balance(attacker)), \
+                agent.compiled, start
 
-        table, _ = attack(block_fusion=False)
-        fused, compiled = attack(block_fusion=True)
+        table, _, _ = attack(block_fusion=False)
+        fused, compiled, start = attack(block_fusion=True)
         assert fused == table
         assert any(c.reentrant for c in table[3][2])
-        # the outermost reentry (recorded last) compiled entries the outer
-        # frame had not entered yet, and the outer frame then ran them
-        before, after = compiled[-1]
+        # the outer frame handed off at its CALL block before the reentry,
+        # and the nested frame then compiled the loop's entries
+        (before, after, handoffs), = compiled
+        assert handoffs > start
         assert after > before
+
+
+# -- hand-off to the table loop on compiled contracts ------------------------
+
+#: each function's frame hands off to the table loop at its CALL or
+#: DELEGATECALL block, then ends in a different tail: a require-revert
+#: (``pay`` against a rejecting agent), out of gas in a storage loop
+#: (``burn``), the step budget in a local loop (``spin``), or storage
+#: written through DELEGATECALL (``run`` with ``Lib.bump``'s selector)
+HANDOFF_SOURCE = """
+contract Handoff {
+    uint256 total;
+    address lib;
+    function setLib(address l) public { lib = l; }
+    function pay(address to) public payable {
+        total = total + msg.value;
+        bool sent = to.call.value(msg.value)();
+        require(sent);
+        total = 0;
+    }
+    function burn(address to, uint256 n) public {
+        bool sent = to.call.value(0)();
+        for (uint256 i = 0; i < n; i++) { total = total + i; }
+    }
+    function spin(address to, uint256 n) public {
+        bool sent = to.call.value(0)();
+        uint256 acc = 0;
+        for (uint256 i = 0; i < n; i++) { acc = acc + i; }
+        total = acc;
+    }
+    function run(uint256 d) public {
+        lib.delegatecall(d);
+        total = total + 1;
+    }
+}
+
+contract Lib {
+    uint256 total;
+    function bump() public { total = total + 7; }
+}
+"""
+
+REJECTER = 0x222
+BENIGN = 0x111
+
+
+def _hand_off(tail: str, block_fusion: bool):
+    """Run ``tail``'s transaction; return everything a fused run must
+    reproduce, and the hand-offs that transaction made."""
+    handoff = compile_source(HANDOFF_SOURCE, "Handoff")
+    lib = compile_source(HANDOFF_SOURCE, "Lib")
+    chain = Chain(block_fusion=block_fusion)
+    chain.create_account(ALICE)
+    chain.register_agent(REJECTER, RejectingAgent(), balance=0)
+    chain.register_agent(BENIGN, BenignAgent(), balance=0)
+    target = chain.deploy(handoff, sender=ALICE).address
+    library = chain.deploy(lib, sender=ALICE).address
+    chain.apply(Transaction(sender=ALICE, to=target, data=encode_call(
+        handoff.abi.function("setLib"), [library])))
+    bump = encode_call(lib.abi.function("bump"), []).ljust(32, b"\0")
+    name, args, gas, value = {
+        "require_revert": ("pay", [REJECTER], 10_000_000, 500),
+        "out_of_gas": ("burn", [BENIGN, 1000], 100_000, 0),
+        "step_budget": ("spin", [BENIGN, 10 ** 9], 10_000_000, 0),
+        "delegatecall_write": ("run", [int.from_bytes(bump, "big")],
+                               10_000_000, 0),
+    }[tail]
+    before = fusion_stats()["runtime_bailouts"]
+    receipt = chain.apply(Transaction(
+        sender=ALICE, to=target, value=value, gas=gas,
+        data=encode_call(handoff.abi.function(name), args)))
+    handoffs = fusion_stats()["runtime_bailouts"] - before
+    accounts = [chain.world.account(a) for a in (target, library)]
+    return (receipt.success, receipt.returndata, receipt.error,
+            _trace_tuple(receipt),
+            [(a.storage, a.storage_shadow) for a in accounts],
+            [chain.world.get_balance(a)
+             for a in (target, library, ALICE, REJECTER, BENIGN)]), handoffs
+
+
+class TestCompiledHandOff:
+    @pytest.mark.parametrize("tail, error", [
+        ("require_revert", "revert"),
+        ("out_of_gas", "OutOfGas: out of gas at pc="),
+        ("step_budget", "OutOfGas: per-transaction step budget exhausted"),
+        ("delegatecall_write", None),
+    ])
+    def test_hand_off_then_tail_matches_table(self, tail, error):
+        table, _ = _hand_off(tail, block_fusion=False)
+        fused, handoffs = _hand_off(tail, block_fusion=True)
+        assert handoffs >= 1
+        assert fused == table
+        success, _, got, _, storage, _ = table
+        if error is None:
+            assert success
+            assert storage[0][0][0] == 8  # Lib's +7, then the caller's +1
+        else:
+            assert not success
+            assert got.startswith(error)
 
 
 # -- telemetry ----------------------------------------------------------------
@@ -535,7 +666,7 @@ class TestTelemetry:
         counters = snap["counters"]
         assert counters["fusion.programs_compiled"] >= 1
         assert counters["fusion.blocks.fused"] >= 1
-        assert counters["fusion.blocks.interp"] >= 1
+        assert counters["fusion.blocks.bailout"] >= 1
         assert counters["fusion.threaded_jumps"] >= 1
         assert counters["fusion.entries_compiled"] >= 1
         assert counters["fusion.fallback.gas_observing"] >= 1

@@ -2,7 +2,10 @@
 
 from __future__ import annotations
 
+import json
+import logging
 import os
+import sqlite3
 
 import pytest
 
@@ -22,6 +25,8 @@ from repro.orchestrator import (
     run_matrix,
     summarize,
 )
+from repro.orchestrator.store import DB_NAME
+from repro.telemetry import log as tlog
 from tests.conftest import CROWDSALE_SOURCE, GAME_SOURCE
 
 BROKEN_SOURCE = "contract Broken { function f( public"
@@ -125,6 +130,7 @@ class TestResultStore:
         edited = _job(source=CROWDSALE_SOURCE + "\n// edited\n")
         assert store.path_for(edited) == store.path_for(_job())
         assert store.load(edited) is None
+        assert store.stats_dict()["records_unreadable"] == 0  # a plain miss
 
     def test_failures_are_not_persisted(self, tmp_path):
         store = ResultStore(tmp_path)
@@ -171,6 +177,44 @@ class TestRunMatrix:
               CampaignResult.from_dict(
                   {**o.result.to_dict(), "wall_time": 0.0}))
              for o in first.outcomes]
+
+    @pytest.mark.parametrize("backend", ["json", "sqlite"])
+    def test_unreadable_record_is_counted_logged_and_rerun(
+            self, tmp_path, capsys, backend):
+        """A record that exists but no longer parses (a truncated file, a
+        sqlite row whose result is mangled) reruns its cell: counted in
+        the store stats, logged once with the job's id, and replaced by
+        the record a fresh run writes.  Missing records stay silent."""
+        tlog.configure(logging.INFO)
+        contracts = [("Crowdsale", CROWDSALE_SOURCE)]
+        kw = dict(presets=("mufuzz",), trials=2, overrides=FAST, workers=1,
+                  results_dir=tmp_path, store=backend)
+        first = run_matrix(contracts, **kw)
+        assert first.stats.store["records_unreadable"] == 0
+        assert "unreadable" not in capsys.readouterr().err
+        with ResultStore(tmp_path) as store:
+            fresh = store.canonical_records()
+        victim = sorted(fresh)[0]
+        if backend == "json":
+            text = fresh[victim]
+            (tmp_path / f"{victim}.json").write_text(text[:len(text) // 2])
+        else:
+            mangled = {**json.loads(fresh[victim]), "result": "corrupt"}
+            conn = sqlite3.connect(tmp_path / DB_NAME)
+            with conn:
+                conn.execute("UPDATE records SET canonical = ?"
+                             " WHERE job_id = ?",
+                             (json.dumps(mangled), victim))
+            conn.close()
+
+        rerun = run_matrix(contracts, **kw)
+        assert (rerun.cached, rerun.executed) == (1, 1)
+        assert rerun.stats.store["records_unreadable"] == 1
+        warnings = [line for line in capsys.readouterr().err.splitlines()
+                    if "unreadable" in line]
+        assert len(warnings) == 1 and f"job={victim}" in warnings[0]
+        with ResultStore(tmp_path) as store:
+            assert store.canonical_records() == fresh
 
     def test_budget_specs_fold_into_every_job(self):
         """run_matrix's budget parameters reach each campaign's config
