@@ -72,12 +72,6 @@ def bench_persistence(label: str) -> dict:
     every = os.environ.get("REPRO_BENCH_CHECKPOINT_EVERY")
     if every:
         kwargs["checkpoint_every"] = int(every)
-    # REPRO_BENCH_STORE picks the result-store backend (json | sqlite);
-    # unset defers to run_matrix's own resolution (existing store format,
-    # then REPRO_STORE, then json)
-    store = os.environ.get("REPRO_BENCH_STORE")
-    if store:
-        kwargs["store"] = store
     return kwargs
 
 

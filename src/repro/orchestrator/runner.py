@@ -45,9 +45,9 @@ class RunStats:
     #: merged telemetry registry snapshot across every fresh job (None
     #: when the run did not collect telemetry)
     telemetry: dict | None = None
-    #: result-store counters (backend, records saved/loaded, rows written,
-    #: batch flushes, query time) from ``StoreBackend.stats_dict``; None
-    #: when the run kept everything in memory
+    #: result-store counters (records saved/loaded, stale temps swept,
+    #: unreadable records) from ``ResultStore.stats_dict``; None when the
+    #: run kept everything in memory
     store: dict | None = None
 
     @property
@@ -201,7 +201,6 @@ def run_matrix(contracts, presets, trials: int = 1, base_seed: int = 1,
                telemetry: bool = False,
                heartbeat_every: float | None = None,
                on_heartbeat=None,
-               store: str | None = None,
                state_cache: bool | None = None,
                surface_pruning: bool | None = None,
                block_fusion: bool | None = None) -> MatrixRun:
@@ -246,13 +245,6 @@ def run_matrix(contracts, presets, trials: int = 1, base_seed: int = 1,
     ``repro top`` follows, and ``on_heartbeat(wire)`` (optional) sees
     every heartbeat as it arrives.  Telemetry is provably inert — results
     are byte-identical with it on or off.
-
-    ``store`` picks the result-store backend (``json`` or ``sqlite``) for
-    ``results_dir``; ``None`` honors an existing store's format, then the
-    ``REPRO_STORE`` environment variable, then defaults to ``json``.  The
-    canonical artifact is byte-identical across backends (the sqlite
-    store keeps exact canonical record text and exports to the per-file
-    layout).
     """
     start = time.perf_counter()
     if checkpoint_every is not None and results_dir is None:
@@ -285,8 +277,7 @@ def run_matrix(contracts, presets, trials: int = 1, base_seed: int = 1,
                         base_seed=base_seed, overrides=overrides,
                         supported=supported)
 
-    store = ResultStore(results_dir, backend=store) \
-        if results_dir is not None else None
+    store = ResultStore(results_dir) if results_dir is not None else None
     cached = store.load_fresh(jobs) if store is not None else {}
     pending = []
     for job in jobs:
@@ -331,7 +322,7 @@ def run_matrix(contracts, presets, trials: int = 1, base_seed: int = 1,
             fresh[outcome.job.job_id] = outcome
 
     if store is not None:
-        store.flush()  # buffered backends: every record durable before return
+        store.flush()  # a no-op kept for perfbench/trace.py, which wraps it
     outcomes = [cached[job.job_id] if job.job_id in cached
                 else fresh[job.job_id] for job in jobs]
     elapsed = time.perf_counter() - start

@@ -1,23 +1,15 @@
-"""Shared machinery for the result-store backends.
+"""The canonical record form and crash-safe file helpers of the result store.
 
-Everything both backends must agree on lives here, because agreement *is*
-the product: the canonical record form (:func:`build_record` +
+What makes a persisted record a byte-identical, reusable cache lives here:
+the canonical record form (:func:`build_record` +
 :func:`repro.engine.checkpoint.canonical_json`), the freshness rules
 (:func:`record_is_fresh`), the findings projection derived from a record
 (:func:`finding_rows_from_record`), the crash-safe atomic file writer
 (:func:`atomic_write_text`: write → flush → fsync → rename, so a powerloss
 can never leave a truncated-but-renamed record), the stale ``*.tmp`` sweep,
 and the checkpoint file helpers workers use directly (they hold a path,
-not a store).
-
-:class:`StoreBackend` is the interface contract: a backend persists
-canonical records keyed by ``job_id``, answers resume queries
-(:meth:`~StoreBackend.load_fresh` / :meth:`~StoreBackend.fresh_ids`),
-exposes the findings projection (:meth:`~StoreBackend.query_findings`),
-and owns the mid-campaign checkpoint lifecycle.  Whatever the storage
-engine, :meth:`~StoreBackend.canonical_records` must return byte-identical
-text for the same outcomes — the golden-fixture tests hold both backends
-to that.
+not a store).  The store itself is
+:class:`~repro.orchestrator.store.jsonfile.JsonResultStore`.
 """
 
 from __future__ import annotations
@@ -32,7 +24,6 @@ from pathlib import Path
 from repro.core.campaign import CampaignResult
 from repro.engine.checkpoint import CampaignCheckpoint, canonical_json
 from repro.orchestrator.jobs import CampaignJob, JobOutcome
-from repro.telemetry import metrics as _metrics
 from repro.telemetry.spans import span as _span
 
 #: wall time spent serializing + atomically writing campaign checkpoints
@@ -64,37 +55,6 @@ TMP_SUFFIX = ".tmp"
 #: alone (the sweep runs on store open, not on a schedule)
 STALE_TMP_AGE = 60.0
 
-# -- telemetry ----------------------------------------------------------------
-# plain-int process totals mirrored into the registry by a snapshot-time
-# collector (the zero-overhead pattern of core/statecache.py): the store
-# hot path pays integer adds, never a registry probe.
-_T_RECORDS_SAVED = _metrics.counter("store.records_saved")
-_T_RECORDS_LOADED = _metrics.counter("store.records_loaded")
-_T_ROWS_WRITTEN = _metrics.counter("store.rows_written")
-_T_BATCH_FLUSHES = _metrics.counter("store.batch_flushes")
-_T_QUERIES = _metrics.counter("store.queries")
-_T_QUERY_US = _metrics.counter("store.query_us")
-
-_records_saved_total = 0
-_records_loaded_total = 0
-_rows_written_total = 0
-_batch_flushes_total = 0
-_queries_total = 0
-_query_us_total = 0
-
-
-def _collect_store_counters() -> None:
-    _T_RECORDS_SAVED.set_total(_records_saved_total)
-    _T_RECORDS_LOADED.set_total(_records_loaded_total)
-    _T_ROWS_WRITTEN.set_total(_rows_written_total)
-    _T_BATCH_FLUSHES.set_total(_batch_flushes_total)
-    _T_QUERIES.set_total(_queries_total)
-    _T_QUERY_US.set_total(_query_us_total)
-
-
-_metrics.register_collector(_collect_store_counters)
-
-
 # -- crash-safe file writes ---------------------------------------------------
 
 def atomic_write_text(path, text: str, fsync: bool = True) -> Path:
@@ -108,16 +68,27 @@ def atomic_write_text(path, text: str, fsync: bool = True) -> Path:
     either the old complete file or the new complete file, never a
     truncated hybrid; the directory entry is fsynced best-effort after.
     Observational files (live telemetry) pass ``fsync=False``: atomicity
-    without the per-write disk stall.
+    without the per-write disk stall.  When any step before the rename
+    fails, the temporary is removed and the error re-raised, so the
+    target keeps its old content and nothing is left behind.
     """
     path = Path(path)
     tmp = path.with_name(path.name + TMP_SUFFIX)
-    with open(tmp, "w") as handle:
-        handle.write(text)
-        if fsync:
-            handle.flush()
-            os.fsync(handle.fileno())
-    os.replace(tmp, path)
+    try:
+        with open(tmp, "w") as handle:
+            handle.write(text)
+            if fsync:
+                handle.flush()
+                os.fsync(handle.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        # a failed write (a full disk, an interrupt) leaves no temporary
+        # for the next open's sweep to find
+        try:
+            tmp.unlink(missing_ok=True)
+        except OSError:
+            pass
+        raise
     if fsync:
         try:  # the rename itself must survive powerloss too
             dir_fd = os.open(str(path.parent), os.O_RDONLY)
@@ -157,10 +128,8 @@ def sweep_stale_temps(root, min_age: float = STALE_TMP_AGE) -> int:
 def build_record(outcome: JobOutcome) -> dict:
     """The persistent record for an ``ok`` outcome.
 
-    Both backends serialize exactly this dict through
-    :func:`canonical_json`, which is what makes them interchangeable: the
-    SQLite backend stores the very text the JSON backend would have
-    written, and ``export`` round-trips it byte-identically.
+    The store writes exactly this dict through :func:`canonical_json`, so
+    the same outcome always persists as the same bytes.
     """
     job = outcome.job
     result_data = outcome.result.to_dict()
@@ -265,13 +234,13 @@ def write_checkpoint_file(path, checkpoint: CampaignCheckpoint,
         atomic_write_text(path, canonical_json(record))
 
 
-def checkpoint_from_record_text(text: str,
-                                fingerprint: str) -> CampaignCheckpoint | None:
-    """Parse a checkpoint record; None when mangled or stale (fingerprint
-    mismatch — the job's source/config/seed changed since it was taken)."""
+def read_checkpoint_file(path, fingerprint: str) -> CampaignCheckpoint | None:
+    """Load a checkpoint file; None when absent, mangled, or stale
+    (fingerprint mismatch — the job's source/config/seed changed since it
+    was taken)."""
     try:
-        record = json.loads(text)
-    except ValueError:
+        record = json.loads(Path(path).read_text())
+    except (OSError, ValueError):
         return None
     if (not isinstance(record, dict)
             or record.get("schema") != SCHEMA_VERSION
@@ -281,15 +250,6 @@ def checkpoint_from_record_text(text: str,
         return CampaignCheckpoint.from_dict(record["checkpoint"])
     except (KeyError, ValueError, TypeError, IndexError):
         return None
-
-
-def read_checkpoint_file(path, fingerprint: str) -> CampaignCheckpoint | None:
-    """Load a checkpoint file; None when absent, mangled, or stale."""
-    try:
-        text = Path(path).read_text()
-    except OSError:
-        return None
-    return checkpoint_from_record_text(text, fingerprint)
 
 
 def clear_checkpoint_file(path) -> None:
@@ -338,253 +298,3 @@ class CheckpointSession:
         """Consume the checkpoint after a completed campaign."""
         if self._owned:
             clear_checkpoint_file(self.path)
-
-
-class StoreBackend:
-    """The result-store interface both backends implement.
-
-    Subclasses must provide :meth:`load`, :meth:`save`,
-    :meth:`completed_ids`, :meth:`canonical_records`, and
-    :meth:`delete_record`; everything else has a correct (if unindexed)
-    default built on those.  ``flush``/``close`` are no-ops for backends
-    that write through immediately.
-    """
-
-    #: backend key as selected by ``--store`` / ``REPRO_STORE``
-    name = "abstract"
-
-    def __init__(self, root) -> None:
-        self.root = Path(root)
-        self.root.mkdir(parents=True, exist_ok=True)
-        self.temps_swept = sweep_stale_temps(self.root)
-        # per-store observability (mirrored process-wide via the module
-        # totals + snapshot collector above)
-        self.records_saved = 0
-        self.records_loaded = 0
-        self.rows_written = 0
-        self.batch_flushes = 0
-        self.queries = 0
-        self.query_time_s = 0.0
-        self.records_unreadable = 0
-
-    # -- paths ----------------------------------------------------------------
-
-    def path_for(self, job: CampaignJob) -> Path:
-        """The per-file layout path for ``job``'s record — where the JSON
-        backend keeps it, and where ``export`` materializes it."""
-        return self.root / f"{job.job_id}.json"
-
-    def live_telemetry_path(self) -> Path:
-        """Where the orchestrator publishes live matrix progress."""
-        return self.root / LIVE_TELEMETRY_NAME
-
-    # -- records --------------------------------------------------------------
-
-    def load(self, job: CampaignJob) -> JobOutcome | None:
-        """The cached outcome for ``job``, or None when absent, stale or
-        unreadable (see :meth:`_note_unreadable`)."""
-        raise NotImplementedError
-
-    def save(self, outcome: JobOutcome):
-        """Persist an ``ok`` outcome; no-op (None) for errors/timeouts."""
-        raise NotImplementedError
-
-    def completed_ids(self) -> set:
-        """Job ids holding an ``ok`` record (fingerprint-unchecked)."""
-        raise NotImplementedError
-
-    def canonical_records(self) -> dict:
-        """``job_id`` → exact canonical record text, for every record.
-
-        This is the byte-identity surface: both backends must return the
-        same text for the same outcomes, whatever their storage engine.
-        """
-        raise NotImplementedError
-
-    def record_for(self, job_id: str) -> dict | None:
-        """The parsed record for ``job_id`` (None when absent/mangled)."""
-        text = self.canonical_records().get(job_id)
-        if text is None:
-            return None
-        try:
-            record = json.loads(text)
-        except ValueError:
-            return None
-        return record if isinstance(record, dict) else None
-
-    def delete_record(self, job_id: str) -> bool:
-        """Drop one record (and its projection rows); True if it existed."""
-        raise NotImplementedError
-
-    def export(self, dest=None) -> list:
-        """Materialize every record into the per-file layout under
-        ``dest`` (default: this store's root) and return the paths.
-
-        Because records are stored as exact canonical text, an export
-        from any backend is byte-identical to what the JSON backend
-        would have written in the first place — this is the round-trip
-        the golden-fixture tests diff.
-        """
-        dest = self.root if dest is None else Path(dest)
-        dest.mkdir(parents=True, exist_ok=True)
-        return [atomic_write_text(dest / f"{job_id}.json", text)
-                for job_id, text in sorted(self.canonical_records().items())]
-
-    def load_fresh(self, jobs) -> dict:
-        """``job_id`` → cached outcome for every job with a fresh record.
-
-        The resume path.  The default loads job-by-job; the SQLite
-        backend overrides it with one indexed query.
-        """
-        out = {}
-        for job in jobs:
-            outcome = self.load(job)
-            if outcome is not None:
-                out[job.job_id] = outcome
-        return out
-
-    def fresh_ids(self, jobs) -> set:
-        """Job ids whose persisted record is a reusable cache (matching
-        fingerprint, ``ok`` status) — the resume *scan*, without
-        materializing outcomes."""
-        return set(self.load_fresh(jobs))
-
-    def query_findings(self, contract=None, bug_class=None, severity=None,
-                       fingerprint=None, job_id=None, preset=None) -> list:
-        """Finding rows (see :func:`finding_rows_from_record`) filtered by
-        any combination of coordinates, in deterministic order.
-
-        The default scans and parses every record — correct everywhere,
-        O(records); the SQLite backend answers from its indexed
-        projection instead.
-        """
-        start = time.perf_counter()
-        rows = []
-        for _jid, text in sorted(self.canonical_records().items()):
-            try:
-                record = json.loads(text)
-            except ValueError:
-                continue
-            rows.extend(finding_rows_from_record(record))
-        rows = [row for row in rows
-                if _row_matches(row, contract, bug_class, severity,
-                                fingerprint, job_id, preset)]
-        rows.sort(key=_row_order)
-        self._count_query(time.perf_counter() - start)
-        return rows
-
-    def flush(self) -> None:
-        """Make every buffered write durable (no-op for write-through)."""
-
-    def close(self) -> None:
-        self.flush()
-
-    def __enter__(self) -> "StoreBackend":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()
-
-    # -- mid-campaign checkpoints ---------------------------------------------
-    # Live checkpoints are plain files on every backend: they are written
-    # *by the workers themselves* (single writer per job, holding only a
-    # path), so they never contend with the scheduler's record writes.
-
-    def checkpoint_path_for(self, job: CampaignJob) -> Path:
-        return self.root / f"{job.job_id}{CHECKPOINT_SUFFIX}"
-
-    def save_checkpoint(self, job: CampaignJob,
-                        checkpoint: CampaignCheckpoint) -> Path:
-        path = self.checkpoint_path_for(job)
-        write_checkpoint_file(path, checkpoint, job.fingerprint())
-        return path
-
-    def load_checkpoint(self, job: CampaignJob) -> CampaignCheckpoint | None:
-        return read_checkpoint_file(self.checkpoint_path_for(job),
-                                    job.fingerprint())
-
-    def clear_checkpoint(self, job: CampaignJob) -> None:
-        clear_checkpoint_file(self.checkpoint_path_for(job))
-
-    def checkpoint_ids(self) -> set:
-        """Job ids with a pending mid-campaign checkpoint."""
-        return {path.name[:-len(CHECKPOINT_SUFFIX)]
-                for path in self.root.glob(f"*{CHECKPOINT_SUFFIX}")}
-
-    # -- observability --------------------------------------------------------
-
-    def stats_dict(self) -> dict:
-        """This store's counters, for ``MatrixRun.stats`` / ``repro top``."""
-        return {
-            "backend": self.name,
-            "records_saved": self.records_saved,
-            "records_loaded": self.records_loaded,
-            "rows_written": self.rows_written,
-            "batch_flushes": self.batch_flushes,
-            "queries": self.queries,
-            "query_ms": round(self.query_time_s * 1000.0, 3),
-            "temps_swept": self.temps_swept,
-            "records_unreadable": self.records_unreadable,
-        }
-
-    def _note_unreadable(self, job_id: str) -> None:
-        """A record for ``job_id`` exists but does not parse: the caller
-        treats it as missing, so the cell reruns and its fresh record
-        replaces this one.  Counted and logged, never silent (a missing
-        record or a stale fingerprint is an ordinary miss)."""
-        # imported here, on this rare path: ``logging`` would otherwise
-        # load into every process that opens a store
-        from repro.telemetry import log
-        self.records_unreadable += 1
-        log.warning("unreadable result record; rerunning its cell",
-                    job=job_id, store=self.name)
-
-    def _count_saved(self, rows: int = 1) -> None:
-        global _records_saved_total, _rows_written_total
-        self.records_saved += 1
-        self.rows_written += rows
-        _records_saved_total += 1
-        _rows_written_total += rows
-
-    def _count_loaded(self, n: int = 1) -> None:
-        global _records_loaded_total
-        self.records_loaded += n
-        _records_loaded_total += n
-
-    def _count_flush(self, rows: int = 0) -> None:
-        global _batch_flushes_total, _rows_written_total
-        self.batch_flushes += 1
-        self.rows_written += rows
-        _batch_flushes_total += 1
-        _rows_written_total += rows
-
-    def _count_query(self, seconds: float) -> None:
-        global _queries_total, _query_us_total
-        self.queries += 1
-        self.query_time_s += seconds
-        _queries_total += 1
-        _query_us_total += int(seconds * 1e6)
-
-
-def _row_matches(row, contract, bug_class, severity, fingerprint,
-                 job_id, preset) -> bool:
-    if contract is not None and row["contract"] != contract:
-        return False
-    if bug_class is not None:
-        wanted = ({bug_class} if isinstance(bug_class, str)
-                  else set(bug_class))
-        if row["bug_class"] not in wanted:
-            return False
-    if severity is not None and row["severity"] != severity:
-        return False
-    if fingerprint is not None and row["fingerprint"] != fingerprint:
-        return False
-    if job_id is not None and row["job_id"] != job_id:
-        return False
-    if preset is not None and row["preset"] != preset:
-        return False
-    return True
-
-
-def _row_order(row) -> tuple:
-    return (row["job_id"], row["bug_class"], row["contract"], row["pc"])

@@ -1,9 +1,9 @@
 """Cross-run findings aggregation for ``repro report``.
 
 Input is the result store's findings projection — flat rows as returned
-by :meth:`StoreBackend.query_findings
-<repro.orchestrator.store.base.StoreBackend.query_findings>`, one per
-(job, finding).  The same defect found by several trials/presets shares a
+by :meth:`ResultStore.query_findings
+<repro.orchestrator.store.jsonfile.JsonResultStore.query_findings>`, one
+per (job, finding).  The same defect found by several trials/presets shares a
 ``fingerprint`` (the stable hash of the finding's dedup key: bug class,
 contract, pc), so aggregation happens on fingerprints: "how many distinct
 defects", not "how many reports of them".

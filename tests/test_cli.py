@@ -480,3 +480,60 @@ class TestKillAndResume:
         ref = ResultStore(ref_dir).canonical_records()
         hot = ResultStore(hot_dir).canonical_records()
         assert ref and hot == ref
+
+
+class TestResultsDirFailures:
+    """A results directory the store cannot use stops the command loudly
+    and in a bounded way: an error line, a nonzero exit, nothing left
+    half-written."""
+
+    def test_campaign_refuses_leftover_sqlite_store(self, capsys, tmp_path,
+                                                    crowdsale_file):
+        results = tmp_path / "results"
+        results.mkdir()
+        (results / "results.db").write_bytes(b"")
+        assert main(["campaign", crowdsale_file, "--fuzzers", "mufuzz",
+                     "--trials", "1", "--iterations", "15", "--workers",
+                     "1", "--results-dir", str(results)]) == 2
+        err = capsys.readouterr().err
+        assert "results.db" in err and "--results-dir" in err
+        assert [p.name for p in results.iterdir()] == ["results.db"]
+
+    def test_report_refuses_leftover_sqlite_store(self, capsys, tmp_path):
+        (tmp_path / "results.db").write_bytes(b"")
+        assert main(["report", str(tmp_path)]) == 2
+        captured = capsys.readouterr()
+        assert "results.db" in captured.err
+        assert "result record(s)" not in captured.out
+
+    def test_campaign_disk_full_is_bounded_and_reported(
+            self, capsys, tmp_path, crowdsale_file, monkeypatch):
+        """ENOSPC on the second record (the 3rd fsync: each record
+        fsyncs its file, then its directory) ends the campaign with one
+        error line and exit 1, keeps the record already saved, leaves no
+        temporary behind, and a rerun after the fault resumes from it."""
+        import errno
+        import os
+
+        results = tmp_path / "results"
+        argv = ["campaign", crowdsale_file, "--fuzzers", "mufuzz",
+                "--trials", "3", "--iterations", "15", "--workers", "1",
+                "--results-dir", str(results)]
+        real_fsync = os.fsync
+        calls = []
+
+        def fsync(fd):
+            calls.append(fd)
+            if len(calls) == 3:
+                raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+            return real_fsync(fd)
+
+        monkeypatch.setattr(os, "fsync", fsync)
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert "No space left" in err and str(results) in err
+        assert not list(results.glob("*.tmp"))
+        assert len(list(results.glob("*.json"))) == 1
+
+        monkeypatch.setattr(os, "fsync", real_fsync)
+        assert "1 cached, 2 executed" in run_cli(capsys, *argv)

@@ -11,9 +11,9 @@ or journal-reset regression that silently changes results is caught — not
 just one that crashes.
 
 The same fixture pins everything that must leave results alone: the
-backends, both result stores, interrupt/resume, and each perf layer on
-and off.  The library itself reads ``REPRO_DISABLE``, ``REPRO_TELEMETRY``
-and ``REPRO_STORE``, so CI re-runs this module unchanged under each.
+backends, the result store, interrupt/resume, and each perf layer on and
+off.  The library itself reads ``REPRO_DISABLE`` and ``REPRO_TELEMETRY``,
+so CI re-runs this module unchanged under each.
 
 Regenerate (only after an *intentional* semantics change):
 
@@ -81,14 +81,11 @@ def test_backend_matches_golden_fixture(execution):
          f"(see module docstring)")
 
 
-@pytest.mark.parametrize("store_backend", ("json", "sqlite"))
-def test_store_backend_transparent_to_golden_fixture(store_backend,
-                                                     tmp_path):
-    """One fixture, both result stores: persisting through the per-file
-    json reference layout or the WAL-mode SQLite backend must change
-    nothing — the in-memory results still match the golden fixture, and
-    the *persisted canonical records* are byte-identical across backends
-    (SQLite's export round-trips to the exact per-file bytes)."""
+def test_result_store_transparent_to_golden_fixture(tmp_path):
+    """Persisting through the result store changes nothing: the in-memory
+    and the persisted results both match the golden fixture, and the
+    persisted canonical records are byte-identical to saving the same
+    outcomes afresh."""
     from repro.orchestrator.store import ResultStore
 
     assert GOLDEN_PATH.exists(), \
@@ -96,27 +93,24 @@ def test_store_backend_transparent_to_golden_fixture(store_backend,
     results_dir = tmp_path / "results"
     run = run_matrix(_golden_contracts(), presets=PRESETS, trials=1,
                      overrides=dict(OVERRIDES), workers=WORKERS,
-                     backend="inline", results_dir=results_dir,
-                     store=store_backend)
-    assert not run.errors and not run.timeouts, (store_backend, run.errors)
+                     backend="inline", results_dir=results_dir)
+    assert not run.errors and not run.timeouts, run.errors
     record = {o.job.job_id: {**o.result.to_dict(), "wall_time": 0.0}
               for o in run.outcomes}
     assert canonical_json(record) == GOLDEN_PATH.read_text(), \
-        (f"store={store_backend} diverged from the golden campaign "
-         f"fixture — the result store must never touch results")
+        ("persisted run diverged from the golden campaign fixture — the "
+         "result store must never touch results")
 
-    with ResultStore(results_dir) as store:
-        assert store.name == store_backend
-        persisted = store.canonical_records()
-        if store_backend == "sqlite":
-            exported = store.export(tmp_path / "exported")
-            assert {p.stem: p.read_text() for p in exported} == persisted
-    with ResultStore(tmp_path / "reference", backend="json") as ref:
-        for outcome in run.outcomes:
-            ref.save(outcome)
-        assert ref.canonical_records() == persisted, \
-            (f"store={store_backend} persisted records diverged from the "
-             f"per-file reference layout")
+    persisted = ResultStore(results_dir).canonical_records()
+    stored = {job_id: json.loads(text)["result"]
+              for job_id, text in persisted.items()}
+    assert canonical_json(stored) == GOLDEN_PATH.read_text(), \
+        "persisted records diverged from the golden campaign fixture"
+    reference = ResultStore(tmp_path / "reference")
+    for outcome in run.outcomes:
+        reference.save(outcome)
+    assert reference.canonical_records() == persisted, \
+        "persisted records diverged from a fresh save of the same outcomes"
 
 
 @pytest.mark.parametrize("execution", sorted(EXECUTIONS))

@@ -2,10 +2,8 @@
 
 from __future__ import annotations
 
-import json
 import logging
 import os
-import sqlite3
 
 import pytest
 
@@ -25,7 +23,6 @@ from repro.orchestrator import (
     run_matrix,
     summarize,
 )
-from repro.orchestrator.store import DB_NAME
 from repro.telemetry import log as tlog
 from tests.conftest import CROWDSALE_SOURCE, GAME_SOURCE
 
@@ -146,22 +143,6 @@ class TestResultStore:
         store.save(execute_job(job))
         assert store.canonical_records()[job.job_id] == first
 
-    def test_canonical_records_identical_across_backends(self, tmp_path):
-        """The byte-identity surface: both store backends persist the
-        exact same canonical record text for the same outcome, and the
-        sqlite export materializes the json backend's files."""
-        outcome = execute_job(_job())
-        stores = {name: ResultStore(tmp_path / name, backend=name)
-                  for name in ("json", "sqlite")}
-        for store in stores.values():
-            store.save(outcome)
-        canon = {name: store.canonical_records()
-                 for name, store in stores.items()}
-        assert canon["json"] == canon["sqlite"]
-        exported = stores["sqlite"].export(tmp_path / "exported")
-        assert [p.read_text() for p in exported] == \
-            [stores["json"].path_for(_job()).read_text()]
-
 
 class TestRunMatrix:
     def test_resume_skips_completed_jobs(self, tmp_path):
@@ -178,34 +159,24 @@ class TestRunMatrix:
                   {**o.result.to_dict(), "wall_time": 0.0}))
              for o in first.outcomes]
 
-    @pytest.mark.parametrize("backend", ["json", "sqlite"])
     def test_unreadable_record_is_counted_logged_and_rerun(
-            self, tmp_path, capsys, backend):
-        """A record that exists but no longer parses (a truncated file, a
-        sqlite row whose result is mangled) reruns its cell: counted in
-        the store stats, logged once with the job's id, and replaced by
-        the record a fresh run writes.  Missing records stay silent."""
+            self, tmp_path, capsys):
+        """A record that exists but no longer parses (a truncated file)
+        reruns its cell: counted in the store stats, logged once with the
+        job's id, and replaced by the record a fresh run writes.  Missing
+        records stay silent."""
         tlog.configure(logging.INFO)
         contracts = [("Crowdsale", CROWDSALE_SOURCE)]
         kw = dict(presets=("mufuzz",), trials=2, overrides=FAST, workers=1,
-                  results_dir=tmp_path, store=backend)
+                  results_dir=tmp_path)
         first = run_matrix(contracts, **kw)
         assert first.stats.store["records_unreadable"] == 0
         assert "unreadable" not in capsys.readouterr().err
         with ResultStore(tmp_path) as store:
             fresh = store.canonical_records()
         victim = sorted(fresh)[0]
-        if backend == "json":
-            text = fresh[victim]
-            (tmp_path / f"{victim}.json").write_text(text[:len(text) // 2])
-        else:
-            mangled = {**json.loads(fresh[victim]), "result": "corrupt"}
-            conn = sqlite3.connect(tmp_path / DB_NAME)
-            with conn:
-                conn.execute("UPDATE records SET canonical = ?"
-                             " WHERE job_id = ?",
-                             (json.dumps(mangled), victim))
-            conn.close()
+        text = fresh[victim]
+        (tmp_path / f"{victim}.json").write_text(text[:len(text) // 2])
 
         rerun = run_matrix(contracts, **kw)
         assert (rerun.cached, rerun.executed) == (1, 1)
@@ -215,6 +186,17 @@ class TestRunMatrix:
         assert len(warnings) == 1 and f"job={victim}" in warnings[0]
         with ResultStore(tmp_path) as store:
             assert store.canonical_records() == fresh
+
+    def test_leftover_sqlite_store_is_refused(self, tmp_path):
+        """A results dir holding an earlier version's SQLite
+        ``results.db`` stops the matrix before any cell runs, rather than
+        rerunning every cell into JSON files beside the database."""
+        (tmp_path / "results.db").write_bytes(b"")
+        with pytest.raises(ValueError, match="results.db"):
+            run_matrix([("Crowdsale", CROWDSALE_SOURCE)],
+                       presets=("mufuzz",), overrides=FAST, workers=1,
+                       results_dir=tmp_path)
+        assert [p.name for p in tmp_path.iterdir()] == ["results.db"]
 
     def test_budget_specs_fold_into_every_job(self):
         """run_matrix's budget parameters reach each campaign's config

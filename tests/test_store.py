@@ -1,15 +1,16 @@
-"""The result-store package: backend parity, durability, and scale hooks.
+"""The result store: round trips, the findings projection, and durability.
 
-Covers the store split (json per-file reference vs WAL-mode sqlite):
-byte-identical canonical records across backends, export round-trips,
-buffered-write flush semantics, the indexed findings projection,
-content-addressed checkpoint blobs with refcounted GC, stale temp-file
-sweeping, concurrent multi-process writers (no lost or torn records), and
-a hypothesis round-trip of records through sqlite back to canonical JSON.
+Covers save/load/resume of canonical per-file records, the findings
+projection ``repro report`` reads, atomic writes (appended temp names, no
+temporary left behind by a failed write, stale temp-file sweeping),
+concurrent multi-process writers (no lost or torn records), the refusal
+of a directory holding a leftover SQLite ``results.db``, and a hypothesis
+round-trip of arbitrary records through save → canonical text → load.
 """
 
 from __future__ import annotations
 
+import errno
 import json
 import os
 import subprocess
@@ -27,17 +28,11 @@ from repro.oracles.base import SEVERITIES, BugClass, Finding
 from repro.orchestrator import CampaignJob
 from repro.orchestrator.jobs import JobOutcome
 from repro.orchestrator.store import (
-    DB_NAME,
-    JsonResultStore,
     ResultStore,
-    SqliteResultStore,
     atomic_write_text,
     build_record,
     finding_fingerprint,
-    resolve_store_backend,
 )
-
-BACKEND_NAMES = ("json", "sqlite")
 
 #: a source that is never compiled here — store tests exercise
 #: persistence, not fuzzing, so records are synthesized
@@ -80,49 +75,9 @@ def _checkpoint(contract: str = "C") -> CampaignCheckpoint:
         oracle_state={}, loop={}, fuzzer="MuFuzz", contract=contract)
 
 
-@pytest.fixture(params=BACKEND_NAMES)
-def store(request, tmp_path):
-    store = ResultStore(tmp_path / "results", backend=request.param)
-    yield store
-    store.close()
-
-
-class TestBackendSelection:
-    def test_explicit_backend_wins(self, tmp_path):
-        assert ResultStore(tmp_path / "a", backend="json").name == "json"
-        assert ResultStore(tmp_path / "b",
-                           backend="sqlite").name == "sqlite"
-
-    def test_existing_store_keeps_its_format(self, tmp_path, monkeypatch):
-        sql_dir, json_dir = tmp_path / "sql", tmp_path / "json"
-        ResultStore(sql_dir, backend="sqlite").close()
-        json_store = ResultStore(json_dir, backend="json")
-        json_store.save(_outcome(_job()))
-        # even with the env pointing the other way, an existing store is
-        # never silently forked into a second format
-        monkeypatch.setenv("REPRO_STORE", "json")
-        assert resolve_store_backend(sql_dir) == "sqlite"
-        monkeypatch.setenv("REPRO_STORE", "sqlite")
-        assert resolve_store_backend(json_dir) == "json"
-
-    def test_env_applies_to_fresh_directories_only(self, tmp_path,
-                                                   monkeypatch):
-        monkeypatch.setenv("REPRO_STORE", "sqlite")
-        assert resolve_store_backend(tmp_path / "fresh") == "sqlite"
-        monkeypatch.delenv("REPRO_STORE")
-        assert resolve_store_backend(tmp_path / "fresh2") == "json"
-
-    def test_unknown_backend_rejected(self, tmp_path):
-        with pytest.raises(ValueError, match="unknown store backend"):
-            ResultStore(tmp_path, backend="postgres")
-
-    def test_checkpoints_do_not_pin_a_format(self, tmp_path, monkeypatch):
-        """A directory holding only checkpoint files (interrupted before
-        any record settled) is still 'fresh' for format selection."""
-        store = ResultStore(tmp_path / "r", backend="json")
-        store.save_checkpoint(_job(), _checkpoint())
-        monkeypatch.setenv("REPRO_STORE", "sqlite")
-        assert resolve_store_backend(tmp_path / "r") == "sqlite"
+@pytest.fixture
+def store(tmp_path):
+    return ResultStore(tmp_path / "results")
 
 
 class TestRoundTrip:
@@ -142,14 +97,23 @@ class TestRoundTrip:
         store.save(_outcome(_job()))
         edited = _job(source=SOURCE + "\n// edited\n")
         assert store.load(edited) is None
-        assert store.fresh_ids([edited]) == set()
+        assert store.load_fresh([edited]) == {}
         assert store.completed_ids() == {_job().job_id}
 
-    def test_fresh_ids_and_load_fresh(self, store):
+    def test_mangled_result_counts_as_unreadable(self, store):
+        """A fresh record whose result no longer decodes is counted as
+        unreadable (its cell reruns), not served as a cache hit."""
+        job = _job()
+        path = store.save(_outcome(job))
+        record = json.loads(path.read_text())
+        path.write_text(canonical_json({**record, "result": "corrupt"}))
+        assert store.load(job) is None
+        assert store.stats_dict()["records_unreadable"] == 1
+
+    def test_load_fresh(self, store):
         jobs = [_job(trial=t) for t in range(3)]
         for job in jobs[:2]:
             store.save(_outcome(job))
-        assert store.fresh_ids(jobs) == {j.job_id for j in jobs[:2]}
         loaded = store.load_fresh(jobs)
         assert sorted(loaded) == sorted(j.job_id for j in jobs[:2])
         assert all(o.ok for o in loaded.values())
@@ -167,6 +131,18 @@ class TestRoundTrip:
         assert store.query_findings() == []
         assert not store.delete_record(job.job_id)  # already gone
 
+    def test_checkpoint_round_trip_and_clear(self, store):
+        job = _job()
+        path = store.save_checkpoint(job, _checkpoint())
+        # the worker-visible transport: a plain file next to the records
+        assert path == store.root / f"{job.job_id}.checkpoint.json"
+        assert store.load_checkpoint(job).contract == "C"
+        assert store.checkpoint_ids() == {job.job_id}
+        assert store.completed_ids() == set()  # not a result record
+        store.clear_checkpoint(job)
+        assert not path.exists()
+        assert store.checkpoint_ids() == set()
+
     def test_record_for_returns_parsed_record(self, store):
         job = _job()
         store.save(_outcome(job))
@@ -174,35 +150,6 @@ class TestRoundTrip:
         assert record["job_id"] == job.job_id
         assert record["schema"] == 2
         assert store.record_for("nonesuch") is None
-
-
-class TestCanonicalParity:
-    def test_identical_canonical_text_across_backends(self, tmp_path):
-        jobs = [_job(trial=t) for t in range(3)]
-        outcomes = [_outcome(job, findings=[_finding(pc=10 + t)])
-                    for t, job in enumerate(jobs)]
-        canon = {}
-        for name in BACKEND_NAMES:
-            with ResultStore(tmp_path / name, backend=name) as store:
-                for outcome in outcomes:
-                    store.save(outcome)
-                canon[name] = store.canonical_records()
-        assert canon["json"] == canon["sqlite"]
-        assert len(canon["json"]) == 3
-
-    def test_export_round_trips_to_per_file_layout(self, tmp_path):
-        outcome = _outcome(_job(), findings=[_finding()])
-        with ResultStore(tmp_path / "db", backend="sqlite") as store:
-            store.save(outcome)
-            paths = store.export(tmp_path / "out")
-        with ResultStore(tmp_path / "ref", backend="json") as ref:
-            ref_path = ref.save(outcome)
-        assert [p.name for p in paths] == [ref_path.name]
-        assert paths[0].read_bytes() == ref_path.read_bytes()
-        # the exported directory is itself a working json store
-        with ResultStore(tmp_path / "out") as reread:
-            assert reread.name == "json"
-            assert reread.load(_job()) is not None
 
 
 class TestFindingsProjection:
@@ -241,16 +188,6 @@ class TestFindingsProjection:
         assert store.query_findings(contract="C", severity="low") == []
         assert store.query_findings(bug_class=[]) == []
 
-    def test_filtered_rows_identical_across_backends(self, tmp_path):
-        results = {}
-        for name in BACKEND_NAMES:
-            with ResultStore(tmp_path / name, backend=name) as store:
-                self._populate(store)
-                results[name] = (store.query_findings(),
-                                 store.query_findings(contract="C",
-                                                      bug_class="RE"))
-        assert results["json"] == results["sqlite"]
-
     def test_severities_cover_the_ladder(self, store):
         self._populate(store)
         assert {r["severity"] for r in store.query_findings()} == \
@@ -276,7 +213,7 @@ class TestAtomicWrites:
         assert renames == [("j.checkpoint.json.tmp", "j.checkpoint.json")]
 
     def test_checkpoint_write_uses_appended_temp(self, tmp_path):
-        store = ResultStore(tmp_path, backend="json")
+        store = ResultStore(tmp_path)
         job = _job()
         path = store.save_checkpoint(job, _checkpoint())
         assert path.name == f"{job.job_id}.checkpoint.json"
@@ -285,8 +222,7 @@ class TestAtomicWrites:
         assert not list(tmp_path.glob("*.tmp"))
         assert not list(tmp_path.glob("*.checkpoint"))
 
-    @pytest.mark.parametrize("backend", BACKEND_NAMES)
-    def test_stale_temps_swept_on_open(self, tmp_path, backend):
+    def test_stale_temps_swept_on_open(self, tmp_path):
         root = tmp_path / "results"
         root.mkdir()
         stale = root / "dead.json.tmp"
@@ -295,134 +231,30 @@ class TestAtomicWrites:
         os.utime(stale, (old, old))
         fresh = root / "live.json.tmp"
         fresh.write_text("{ in flight")
-        store = ResultStore(root, backend=backend)
+        store = ResultStore(root)
         assert not stale.exists()  # crashed writer's orphan: swept
         assert fresh.exists()      # a concurrent writer's: kept
         assert store.temps_swept == 1
-        store.close()
 
+    @pytest.mark.parametrize("failing", ["fsync", "replace"])
+    def test_failed_write_leaves_no_temp(self, tmp_path, monkeypatch,
+                                         failing):
+        """A write that fails before its rename (a full disk at fsync, a
+        failed rename) re-raises, removes its temporary at once rather
+        than leaving it for a later open's sweep, and leaves the target
+        with its previous content."""
+        target = tmp_path / "j.json"
+        target.write_text("old\n")
 
-class TestSqliteBuffering:
-    def test_writes_are_batched_until_flush(self, tmp_path):
-        root = tmp_path / "r"
-        store = ResultStore(root, backend="sqlite", batch_size=1000,
-                            flush_interval=3600.0)
-        for trial in range(5):
-            store.save(_outcome(_job(trial=trial)))
-        # a second, independent connection must not see unflushed rows
-        with ResultStore(root) as observer:
-            assert observer.completed_ids() == set()
-        store.flush()
-        with ResultStore(root) as observer:
-            assert len(observer.completed_ids()) == 5
-        assert store.stats_dict()["batch_flushes"] >= 1
-        assert store.stats_dict()["rows_written"] >= 5
-        store.close()
+        def full_disk(*args):
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
 
-    def test_batch_size_threshold_forces_flush(self, tmp_path):
-        root = tmp_path / "r"
-        store = ResultStore(root, backend="sqlite", batch_size=2,
-                            flush_interval=3600.0)
-        store.save(_outcome(_job(trial=0)))
-        store.save(_outcome(_job(trial=1)))  # hits the threshold
-        with ResultStore(root) as observer:
-            assert len(observer.completed_ids()) == 2
-        store.close()
-
-    def test_reads_flush_first(self, tmp_path):
-        store = ResultStore(tmp_path / "r", backend="sqlite",
-                            batch_size=1000, flush_interval=3600.0)
-        job = _job()
-        store.save(_outcome(job))
-        # same store: any read path must observe its own buffered writes
-        assert store.completed_ids() == {job.job_id}
-        store.close()
-
-    def test_close_flushes(self, tmp_path):
-        root = tmp_path / "r"
-        store = ResultStore(root, backend="sqlite", batch_size=1000,
-                            flush_interval=3600.0)
-        store.save(_outcome(_job()))
-        store.close()
-        with ResultStore(root) as observer:
-            assert len(observer.completed_ids()) == 1
-
-
-class TestCheckpointBlobs:
-    def test_checkpoint_round_trip_and_file_transport(self, tmp_path):
-        store = ResultStore(tmp_path, backend="sqlite")
-        job = _job()
-        path = store.save_checkpoint(job, _checkpoint())
-        # the worker-visible file transport is unchanged: a plain
-        # canonical checkpoint file at the json-backend path
-        assert path == tmp_path / f"{job.job_id}.checkpoint.json"
-        assert path.exists()
-        loaded = store.load_checkpoint(job)
-        assert loaded is not None and loaded.contract == "C"
-        assert store.checkpoint_ids() == {job.job_id}
-        store.close()
-
-    def test_db_row_survives_file_loss(self, tmp_path):
-        store = ResultStore(tmp_path, backend="sqlite")
-        job = _job()
-        path = store.save_checkpoint(job, _checkpoint())
-        path.unlink()  # lose the worker-visible hardlink
-        assert store.load_checkpoint(job) is not None  # blob fallback
-        store.close()
-
-    def test_identical_payloads_share_one_blob(self, tmp_path):
-        store = ResultStore(tmp_path, backend="sqlite")
-        job = _job()
-        store.save_checkpoint(job, _checkpoint())
-        store.save_checkpoint(job, _checkpoint())  # same content
-        assert len(store.blobs.shas()) == 1
-        store.close()
-
-    def test_rewrite_releases_the_old_blob(self, tmp_path):
-        store = ResultStore(tmp_path, backend="sqlite")
-        job = _job()
-        store.save_checkpoint(job, _checkpoint())
-        first = set(store.blobs.shas())
-        store.save_checkpoint(job, _checkpoint(contract="Other"))
-        remaining = store.blobs.shas()
-        assert len(remaining) == 1 and remaining != first  # refcount 0: gone
-        store.close()
-
-    def test_clear_checkpoint_releases_blob_and_file(self, tmp_path):
-        store = ResultStore(tmp_path, backend="sqlite")
-        job = _job()
-        path = store.save_checkpoint(job, _checkpoint())
-        store.clear_checkpoint(job)
-        assert not path.exists()
-        assert store.checkpoint_ids() == set()
-        assert store.blobs.shas() == set()
-        store.close()
-
-    def test_saving_the_record_consumes_the_checkpoint(self, tmp_path):
-        """A completed job's checkpoint is spent: persisting its result
-        drops the row, the blob reference, and the worker file."""
-        store = ResultStore(tmp_path, backend="sqlite")
-        job = _job()
-        path = store.save_checkpoint(job, _checkpoint())
-        store.save(_outcome(job))
-        store.flush()
-        assert store.checkpoint_ids() == set()
-        assert not path.exists()
-        assert store.blobs.shas() == set()
-        store.close()
-
-    def test_gc_sweeps_orphan_blobs(self, tmp_path):
-        store = ResultStore(tmp_path, backend="sqlite")
-        sha = store.blobs.put("orphaned payload\n")
-        assert store.blobs.has(sha)
-        assert store.gc_blobs() == 1
-        assert not store.blobs.has(sha)
-        # referenced blobs survive GC
-        job = _job()
-        store.save_checkpoint(job, _checkpoint())
-        assert store.gc_blobs() == 0
-        assert store.load_checkpoint(job) is not None
-        store.close()
+        monkeypatch.setattr(os, failing, full_disk)
+        with pytest.raises(OSError) as info:
+            atomic_write_text(target, "new\n")
+        assert info.value.errno == errno.ENOSPC
+        assert not list(tmp_path.glob("*.tmp"))
+        assert target.read_text() == "old\n"
 
 
 _STRESS_WORKER = r"""
@@ -432,11 +264,8 @@ from repro.orchestrator import CampaignJob
 from repro.orchestrator.jobs import JobOutcome
 from repro.orchestrator.store import ResultStore
 
-root, backend, worker, count = (sys.argv[1], sys.argv[2], int(sys.argv[3]),
-                                int(sys.argv[4]))
-kwargs = {"batch_size": 7, "flush_interval": 0.01} \
-    if backend == "sqlite" else {}
-store = ResultStore(root, backend=backend, **kwargs)
+root, worker, count = sys.argv[1], int(sys.argv[2]), int(sys.argv[3])
+store = ResultStore(root)
 for i in range(count):
     job = CampaignJob(name=f"W{worker}", preset="mufuzz", trial=i,
                       source="contract C { function f() public { } }",
@@ -445,38 +274,34 @@ for i in range(count):
                             coverage=0.5, iterations=10, total_steps=400,
                             wall_time=1.25, transactions=20)
     store.save(JobOutcome(job=job, status="ok", result=result))
-store.close()
 """
 
 
 class TestConcurrentWriters:
-    @pytest.mark.parametrize("backend", BACKEND_NAMES)
-    def test_parallel_processes_lose_nothing(self, tmp_path, backend):
+    def test_parallel_processes_lose_nothing(self, tmp_path):
         """N processes hammer one store; every record must land intact
         (parseable, canonical, fingerprint-correct) — no lost writes, no
-        torn rows, even with sqlite's buffered writer flushing under
-        cross-process lock contention."""
+        torn records."""
         workers, per_worker = 4, 25
         root = tmp_path / "shared"
         env = dict(os.environ)
         env["PYTHONPATH"] = str(Path(__file__).parent.parent / "src")
         procs = [subprocess.Popen(
-            [sys.executable, "-c", _STRESS_WORKER, str(root), backend,
-             str(w), str(per_worker)], env=env)
+            [sys.executable, "-c", _STRESS_WORKER, str(root), str(w),
+             str(per_worker)], env=env)
             for w in range(workers)]
         for proc in procs:
             assert proc.wait(timeout=120) == 0
         with ResultStore(root) as store:
-            assert store.name == backend
             canonical = store.canonical_records()
             assert len(canonical) == workers * per_worker
             jobs = [_job(name=f"W{w}", trial=i)
                     for w in range(workers) for i in range(per_worker)]
-            assert store.fresh_ids(jobs) == {j.job_id for j in jobs}
+            assert set(store.load_fresh(jobs)) == {j.job_id for j in jobs}
             for job in jobs:
                 # byte-exact: the canonical text is exactly what a lone
-                # writer would have produced — torn or interleaved rows
-                # cannot survive this comparison
+                # writer would have produced — torn or interleaved
+                # records cannot survive this comparison
                 expected = canonical_json(build_record(
                     JobOutcome(job=job, status="ok",
                                result=CampaignResult(
@@ -519,16 +344,16 @@ class TestHypothesisRoundTrip:
                                max_size=3)))
     @settings(max_examples=40, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
-    def test_sqlite_round_trips_to_canonical_json(self, tmp_path, findings,
-                                                  coverage, telemetry):
-        """Any record pushed through the sqlite backend comes back as the
-        exact canonical JSON the reference backend would have written,
-        and loads back to an equal result."""
+    def test_round_trips_to_canonical_json(self, tmp_path, findings,
+                                           coverage, telemetry):
+        """Any record saved comes back as the exact canonical JSON of its
+        outcome, and loads back to an equal result (the directory is
+        reused across examples: each save replaces the one record)."""
         job = _job()
         outcome = _outcome(job, findings=findings, telemetry=telemetry,
                            coverage=coverage)
         expected_text = canonical_json(build_record(outcome))
-        with ResultStore(tmp_path / "db", backend="sqlite") as store:
+        with ResultStore(tmp_path / "results") as store:
             store.save(outcome)
             assert store.canonical_records() == {job.job_id: expected_text}
             loaded = store.load(job)
@@ -541,33 +366,24 @@ class TestHypothesisRoundTrip:
 
 
 class TestStoreStats:
-    @pytest.mark.parametrize("backend", BACKEND_NAMES)
-    def test_stats_dict_counts_activity(self, tmp_path, backend):
-        with ResultStore(tmp_path / "r", backend=backend) as store:
-            job = _job()
-            store.save(_outcome(job, findings=[_finding()]))
-            store.flush()
-            store.load(job)
-            store.query_findings()
-            stats = store.stats_dict()
-        assert stats["backend"] == backend
-        assert stats["records_saved"] == 1
-        assert stats["records_loaded"] >= 1
-        if backend == "sqlite":
-            assert stats["batch_flushes"] >= 1
-            assert stats["rows_written"] >= 2  # record + finding row
-        assert stats["queries"] >= 1
+    def test_stats_dict_counts_activity(self, store):
+        job = _job()
+        store.save(_outcome(job, findings=[_finding()]))
+        store.load(job)
+        assert store.stats_dict() == {
+            "records_saved": 1, "records_loaded": 1, "temps_swept": 0,
+            "records_unreadable": 0}
 
-    def test_db_file_not_mistaken_for_a_record(self, tmp_path):
-        with ResultStore(tmp_path, backend="sqlite") as store:
-            store.save(_outcome(_job()))
-        assert (tmp_path / DB_NAME).exists()
-        # a json store never globs results.db or the blobs dir
-        ids = JsonResultStore(tmp_path).completed_ids()
-        assert DB_NAME not in {f"{i}.json" for i in ids}
 
-    def test_factory_returns_expected_classes(self, tmp_path):
-        assert isinstance(ResultStore(tmp_path / "a", backend="json"),
-                          JsonResultStore)
-        assert isinstance(ResultStore(tmp_path / "b", backend="sqlite"),
-                          SqliteResultStore)
+class TestLeftoverDatabase:
+    def test_results_db_is_refused_untouched(self, tmp_path):
+        """A directory holding a SQLite ``results.db`` (written by an
+        earlier version) is refused with a way out, never read as an
+        empty store and filled with JSON records beside the database."""
+        (tmp_path / "results.db").write_bytes(b"")
+        with pytest.raises(ValueError) as info:
+            ResultStore(tmp_path)
+        message = str(info.value)
+        assert "results.db" in message
+        assert "--results-dir" in message and "export()" in message
+        assert [p.name for p in tmp_path.iterdir()] == ["results.db"]
