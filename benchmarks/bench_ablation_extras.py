@@ -81,9 +81,9 @@ def test_state_cache_speedup(sample, once, report):
     memoized prefixes instead of re-executing them.  It is a pure
     performance layer, so the campaign *accounting* — recorded steps,
     coverage, findings — must come out identical with it on or off; the
-    work it actually removed shows up in the cache's own counters (the
-    ``state_cache`` series in BENCH_evm.json measures the wall-clock
-    side)."""
+    work it actually removed shows up in the cache's own counters
+    (perfbench's leave-one-out table, ``layer.state_cache.loo``, measures
+    the wall-clock side)."""
     iterations = scaled(120, 300)
 
     def compare():

@@ -7,25 +7,16 @@ reproduce is the ordering and the early ramp, not the absolute numbers.
 
 Runs on the campaign orchestrator (:func:`repro.orchestrator.run_matrix`):
 the contract × fuzzer matrix fans out across worker processes
-(``REPRO_BENCH_WORKERS`` sets the count, ``REPRO_BENCH_BACKEND`` the
-execution backend — default: the persistent pool, whose per-worker compile
-caches amortize startup) with per-cohort pinned RNG seeds, so results are
-identical to the former in-process loop at any parallelism.  Per-run
-wall-clock and jobs/sec land in ``BENCH_orchestrator.json`` at the repo
-root.
+(``REPRO_BENCH_WORKERS`` sets the count) with per-cohort pinned RNG
+seeds, so results are identical to the former in-process loop at any
+parallelism.
 """
 
 from __future__ import annotations
 
 import pytest
 
-from benchmarks.conftest import (
-    bench_backend,
-    bench_persistence,
-    bench_workers,
-    record_matrix_timing,
-    scaled,
-)
+from benchmarks.conftest import bench_persistence, bench_workers, scaled
 from repro.corpus import generate_d1
 from repro.orchestrator import average_curves, run_matrix
 from repro.reporting import format_percentage_bars, format_table
@@ -45,10 +36,8 @@ def _run_cohort(contracts, iterations: int, label: str) -> dict:
     run = run_matrix(
         contracts, presets=PRESET_KEYS, trials=1,
         overrides={"iterations": iterations, "rng_seed": 17},
-        workers=bench_workers(), backend=bench_backend(),
-        **bench_persistence(label))
+        workers=bench_workers(), **bench_persistence(label))
     assert not run.errors and not run.timeouts, run.errors + run.timeouts
-    record_matrix_timing(label, run)
     out = {}
     for preset in PRESET_KEYS:
         results = _cohort_results(run, preset)
@@ -109,16 +98,14 @@ def test_fig6_slippage_summary(d1, report, benchmark):
         small_run = run_matrix(
             small, presets=PRESET_KEYS, trials=1,
             overrides={"iterations": scaled(100, 300), "rng_seed": 5},
-            workers=bench_workers(), backend=bench_backend())
+            workers=bench_workers())
         large_run = run_matrix(
             large, presets=PRESET_KEYS, trials=1,
             overrides={"iterations": scaled(80, 250), "rng_seed": 5},
-            workers=bench_workers(), backend=bench_backend())
+            workers=bench_workers())
         for run in (small_run, large_run):
             assert not run.errors and not run.timeouts, \
                 run.errors + run.timeouts
-        record_matrix_timing("fig6_slippage_small", small_run)
-        record_matrix_timing("fig6_slippage_large", large_run)
         rows = []
         for preset in PRESET_KEYS:
             small_res = _cohort_results(small_run, preset)

@@ -9,23 +9,15 @@ static analyzers; Mythril loses much of the dataset to timeouts.
 The fuzzer rows run on the campaign orchestrator
 (:func:`repro.orchestrator.run_matrix`): one matrix per tool with its
 Table I oracle-capability set, fanned out across worker processes
-(``REPRO_BENCH_WORKERS``; ``REPRO_BENCH_BACKEND`` picks the execution
-backend, default pool) with the cohort's pinned RNG seed — results are
-identical to the former in-process loop at any parallelism.  Per-run
-wall-clock and jobs/sec land in ``BENCH_orchestrator.json``.
+(``REPRO_BENCH_WORKERS``) with the cohort's pinned RNG seed — results
+are identical to the former in-process loop at any parallelism.
 """
 
 from __future__ import annotations
 
 import pytest
 
-from benchmarks.conftest import (
-    bench_backend,
-    bench_persistence,
-    bench_workers,
-    record_matrix_timing,
-    scaled,
-)
+from benchmarks.conftest import bench_persistence, bench_workers, scaled
 from repro.baselines import STATIC_ANALYZERS
 from repro.core import preset_config
 from repro.corpus import generate_d2
@@ -83,9 +75,8 @@ def _fuzzer_rows(corpus, iterations: int):
         corpus, presets=FUZZER_PRESET_KEYS, trials=1,
         overrides={"iterations": iterations, "rng_seed": 11},
         supported=supported, workers=bench_workers(),
-        backend=bench_backend(), **bench_persistence("table3_fuzzers"))
+        **bench_persistence("table3_fuzzers"))
     assert not run.errors and not run.timeouts, run.errors + run.timeouts
-    record_matrix_timing("table3_fuzzers", run)
     rows = []
     for key in FUZZER_PRESET_KEYS:
         results = {name: trials[0]

@@ -12,17 +12,12 @@ controlled by ``REPRO_BENCH_SCALE``:
 
 from __future__ import annotations
 
-import json
 import os
 from pathlib import Path
 
 import pytest
 
 RESULTS_DIR = Path(__file__).parent / "results"
-
-#: per-run orchestrator timing trajectory, at the repo root so every PR's
-#: numbers land in the same artifact
-TIMING_PATH = Path(__file__).parent.parent / "BENCH_orchestrator.json"
 
 SCALE = os.environ.get("REPRO_BENCH_SCALE", "small")
 
@@ -41,17 +36,6 @@ def bench_workers() -> int | None:
     """
     value = os.environ.get("REPRO_BENCH_WORKERS")
     return int(value) if value else None
-
-
-def bench_backend() -> str:
-    """Execution backend for orchestrator-backed benches.
-
-    ``REPRO_BENCH_BACKEND`` overrides; the default is the pool backend —
-    persistent workers whose compile caches amortize per-cell startup.
-    Results are byte-identical across backends, so this too only trades
-    wall-clock.
-    """
-    return os.environ.get("REPRO_BENCH_BACKEND") or "pool"
 
 
 def bench_persistence(label: str) -> dict:
@@ -73,38 +57,6 @@ def bench_persistence(label: str) -> dict:
     if every:
         kwargs["checkpoint_every"] = int(every)
     return kwargs
-
-
-def record_matrix_timing(label: str, run) -> None:
-    """Log one :class:`MatrixRun`'s timing into ``BENCH_orchestrator.json``.
-
-    One entry per bench label, overwritten each run — the artifact is a
-    perf trajectory for the orchestrator across PRs, not an archive, so
-    only the latest numbers per bench are kept.
-    """
-    try:
-        data = json.loads(TIMING_PATH.read_text())
-    except (OSError, ValueError):
-        data = {}
-    # RunStats.to_wire() is the canonical stats serialization: raw
-    # counters plus the derived execs/sec, txs/sec, and cache-hit-rate
-    stats = run.stats.to_wire()
-    stats.pop("telemetry", None)  # registry snapshots are too bulky here
-    stats.pop("elapsed", None)    # recorded as wall_clock_s below
-    if stats.get("store") is None:  # in-memory run: drop the null field
-        stats.pop("store", None)
-    data[label] = {
-        "cells": len(run.outcomes),
-        "executed": run.executed,
-        "cached": run.cached,
-        "wall_clock_s": round(run.elapsed, 3),
-        "jobs_per_sec": (round(run.executed / run.elapsed, 3)
-                         if run.elapsed > 0 and run.executed else None),
-        "scale": SCALE,
-        **stats,
-    }
-    TIMING_PATH.write_text(json.dumps(data, indent=2, sort_keys=True)
-                           + "\n")
 
 
 @pytest.fixture

@@ -496,24 +496,9 @@ def cmd_campaign(args) -> int:
         backend = "pool"  # a pool-only knob implies the pool backend
     else:
         backend = args.backend or backend_for(workers, args.job_timeout)
-    if backend == "inline" and args.job_timeout is not None:
-        log.error("error: the inline backend cannot enforce "
-                  "--job-timeout; use --backend pool")
-        return 2
-    if args.recycle_after is not None and args.recycle_after < 0:
-        log.error("error: --recycle-after must be >= 1 "
-                  "(0 disables recycling)")
-        return 2
     if args.recycle_after and backend != "pool":
         log.error(f"error: --recycle-after only applies to the pool "
                   f"backend (got {backend})")
-        return 2
-    if args.checkpoint_every is not None and args.checkpoint_every < 1:
-        log.error("error: --checkpoint-every must be >= 1")
-        return 2
-    if args.checkpoint_every is not None and args.results_dir is None:
-        log.error("error: --checkpoint-every requires --results-dir "
-                  "(checkpoints persist next to the results)")
         return 2
     if backend == "inline":
         workers = 1  # inline runs serially whatever --workers says

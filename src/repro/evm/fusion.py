@@ -281,7 +281,7 @@ class FusedProgram:
         self.entry = entry          # closure or stub for pc 0, or None
         self.blocks = blocks        # start pc -> closure or stub
         self.tiers = tiers          # start pc -> TIER_* string
-        self.stats = stats          # compile-time counts (tests, --profile)
+        self.stats = stats          # compile-time counts (tests)
         self.sources = sources      # start pc -> source, compiled entries
         self._compile = compile_entry
 
@@ -1375,7 +1375,7 @@ def fused_program(code: bytes, event_mask: int) -> FusedProgram:
 
 
 def fusion_stats() -> dict:
-    """Compile/runtime counters (tests, benches, ``--profile``)."""
+    """Compile/runtime counters (tests, ``perfbench/trace.py``)."""
     return {
         "programs": _programs,
         "blocks_fused": _blocks_fused,

@@ -20,7 +20,6 @@ single-worker no-timeout debugging mode, otherwise the pool.
 from __future__ import annotations
 
 from repro.orchestrator.backends.base import (
-    DEFAULT_SWEEP,
     ExecutionBackend,
     SchedulerCore,
     execute_job,
@@ -72,7 +71,6 @@ def run_jobs(jobs, progress=None, backend: str | None = None,
 __all__ = [
     "BACKENDS",
     "DEFAULT_BACKEND",
-    "DEFAULT_SWEEP",
     "ExecutionBackend",
     "InlineBackend",
     "PoolBackend",

@@ -31,10 +31,10 @@ from repro.telemetry.progress import (
     TelemetrySession,
 )
 
-#: default scheduler sweep interval (seconds): the upper bound on how long
-#: the scheduler blocks waiting for a result before checking timeouts and
-#: dead workers.  Configurable per backend via ``sweep_interval``.
-DEFAULT_SWEEP = 0.05
+#: scheduler sweep interval (seconds): the upper bound on how long the
+#: scheduler blocks waiting for a result before checking timeouts and dead
+#: workers
+SWEEP_INTERVAL = 0.05
 
 #: grace period for draining a cleanly-exited worker's queued result
 DRAIN_GRACE = 2.0
@@ -167,7 +167,6 @@ class ExecutionBackend:
     def __init__(self, workers: int | None = None,
                  job_timeout: float | None = None,
                  recycle_after: int | None = None,
-                 sweep_interval: float | None = None,
                  checkpoint_every: int | None = None,
                  checkpoint_dir=None,
                  telemetry: bool = False,
@@ -203,8 +202,6 @@ class ExecutionBackend:
                              "(0 or None disables recycling)")
         self.recycle_after = (None if not recycle_after
                               else int(recycle_after))
-        self.sweep_interval = (DEFAULT_SWEEP if sweep_interval is None
-                               else max(0.001, float(sweep_interval)))
         #: run-level statistics, populated by :meth:`run`
         self.stats = {
             "backend": self.name,
@@ -298,13 +295,10 @@ class SchedulerCore:
     timeout or crash path instead of taking the whole matrix down.
     """
 
-    def __init__(self, jobs, progress=None,
-                 sweep_interval: float = DEFAULT_SWEEP,
-                 on_heartbeat=None) -> None:
+    def __init__(self, jobs, progress=None, on_heartbeat=None) -> None:
         self.jobs = list(jobs)
         self.by_id = {job.job_id: job for job in self.jobs}
         self.progress = progress
-        self.sweep = max(0.001, float(sweep_interval))
         self.ctx = multiprocessing.get_context("spawn")
         self.results_queue = self.ctx.Queue()
         self.settled: dict = {}  # job_id -> JobOutcome
@@ -382,7 +376,7 @@ class SchedulerCore:
                     if remaining <= 0:
                         return
                     wire = self.results_queue.get(
-                        timeout=min(remaining, self.sweep))
+                        timeout=min(remaining, SWEEP_INTERVAL))
             except queue_mod.Empty:
                 if got or block_for <= 0 or time.monotonic() >= deadline:
                     return

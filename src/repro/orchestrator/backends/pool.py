@@ -20,7 +20,13 @@ invariant behind the pool's guarantees:
   completing K jobs and replaced fresh, bounding per-process memory
   growth on long matrices (at the cost of a cold compile cache);
   ``recycle_after=1`` runs every job in a fresh process, the strongest
-  isolation on offer.
+  isolation on offer;
+* **boot-failure breaker** — once :data:`BOOT_DEATH_LIMIT` workers in a
+  row have died before finishing any job, no more are spawned and every
+  pending job settles as ``error`` with :data:`BOOT_DEATH_ERROR`.  A
+  worker that cannot boot (classically: a script calling
+  ``run_matrix`` without a ``__main__`` guard, which every spawned
+  worker re-imports) would otherwise be respawned for every cell.
 
 Results are byte-identical to the inline backend at any worker count:
 job seeds derive from job identity alone, and compiled artifacts are
@@ -36,11 +42,23 @@ from collections import deque
 from dataclasses import dataclass, field
 
 from repro.orchestrator.backends.base import (
+    SWEEP_INTERVAL,
     ExecutionBackend,
     SchedulerCore,
     execute_to_wire,
     heartbeat_wire,
 )
+from repro.orchestrator.jobs import JobOutcome
+
+#: consecutive workers that may die before finishing any job before the
+#: pool stops spawning them
+BOOT_DEATH_LIMIT = 3
+
+BOOT_DEATH_ERROR = (
+    f"{BOOT_DEATH_LIMIT} pool workers in a row died before finishing a "
+    f"job, so no more were spawned. Each worker re-imports the main "
+    f"module: a script that calls run_matrix must do so under "
+    f"'if __name__ == \"__main__\":'.")
 
 
 def _pool_worker_main(worker_key: int, dispatch_queue,
@@ -80,11 +98,11 @@ class PoolBackend(ExecutionBackend):
     name = "pool"
 
     def _run(self, jobs, progress) -> list:
-        core = SchedulerCore(jobs, progress, self.sweep_interval,
-                             on_heartbeat=self.heartbeat)
+        core = SchedulerCore(jobs, progress, on_heartbeat=self.heartbeat)
         pending = deque(jobs)
         workers: dict = {}  # key -> _PoolWorker
         keys = itertools.count()
+        boot_deaths = 0  # consecutive workers dead before finishing a job
 
         def spawn_worker() -> None:
             key = next(keys)
@@ -108,6 +126,7 @@ class PoolBackend(ExecutionBackend):
             worker.dispatch.close()
 
         def on_wire(wire) -> None:
+            nonlocal boot_deaths
             self._absorb_cache_stats(wire)
             self._absorb_telemetry(wire.get("telemetry"))
             # match against the live incarnation only: a result racing in
@@ -116,6 +135,15 @@ class PoolBackend(ExecutionBackend):
             if worker is not None and worker.job_id == wire.get("job_id"):
                 worker.job_id = None
                 worker.jobs_done += 1
+                boot_deaths = 0
+
+        def bury(worker: _PoolWorker) -> None:
+            """Drop a dead worker (terminate on a dead process is a
+            harmless no-op), counting it when it never finished a job."""
+            nonlocal boot_deaths
+            retire(worker, kill=True)
+            if not worker.jobs_done:
+                boot_deaths += 1
 
         def sweep() -> None:
             """Settle timeouts and dead workers; replacements are spawned
@@ -124,9 +152,7 @@ class PoolBackend(ExecutionBackend):
                 now = time.monotonic()
                 if worker.job_id is None:
                     if not worker.proc.is_alive():
-                        # died idle (rare): drop the carcass (terminate
-                        # on a dead process is a harmless no-op)
-                        retire(worker, kill=True)
+                        bury(worker)  # died idle (rare)
                     continue
                 job_id = worker.job_id
                 if (self.job_timeout is not None
@@ -141,10 +167,18 @@ class PoolBackend(ExecutionBackend):
                                             worker.started,
                                             handler=on_wire,
                                             label="pool worker")
-                    retire(worker, kill=True)
+                    bury(worker)
 
         try:
             while not core.all_settled():
+                if boot_deaths >= BOOT_DEATH_LIMIT:
+                    # workers cannot boot: fail what is left instead of
+                    # respawning (jobs in flight still settle as usual)
+                    while pending:
+                        core.settle(JobOutcome(job=pending.popleft(),
+                                               status="error",
+                                               error=BOOT_DEATH_ERROR))
+
                 # retire idle workers that served their recycling quota
                 # (the headcount below spawns fresh replacements)
                 if self.recycle_after is not None:
@@ -174,7 +208,7 @@ class PoolBackend(ExecutionBackend):
                         worker.started = time.monotonic()
                         worker.dispatch.put(self.job_payload(job))
 
-                core.drain(block_for=self.sweep_interval, handler=on_wire)
+                core.drain(block_for=SWEEP_INTERVAL, handler=on_wire)
                 sweep()
         finally:
             # wind down politely, then terminate stragglers (a worker

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import asdict, dataclass, field
+from pathlib import Path
 
 from repro import layers
 from repro.engine.checkpoint import canonical_json
@@ -24,8 +25,8 @@ from repro.orchestrator.store import ResultStore, atomic_write_text
 class RunStats:
     """Typed run-level statistics for one matrix run.
 
-    ``to_wire()`` is the canonical serialization the
-    BENCH_orchestrator.json writers embed — it includes the derived rates
+    ``to_wire()`` is the canonical serialization (the live progress file
+    and ``--metrics`` embed it) — it includes the derived rates
     (execs/sec, txs/sec, cache hit rate) alongside the raw counters.
     """
 
@@ -277,6 +278,24 @@ def run_matrix(contracts, presets, trials: int = 1, base_seed: int = 1,
                         base_seed=base_seed, overrides=overrides,
                         supported=supported)
 
+    def heartbeat(wire) -> None:
+        if live is not None:
+            live.on_heartbeat(wire)
+        if on_heartbeat is not None:
+            on_heartbeat(wire)
+
+    # built before the store opens, so a rejected option writes nothing
+    engine = create_backend(backend, workers=workers,
+                            job_timeout=job_timeout,
+                            recycle_after=recycle_after,
+                            checkpoint_every=checkpoint_every,
+                            checkpoint_dir=(None if results_dir is None
+                                            else Path(results_dir)),
+                            telemetry=telemetry,
+                            heartbeat_every=heartbeat_every,
+                            heartbeat=(heartbeat if telemetry else None),
+                            disable=disabled)
+
     store = ResultStore(results_dir) if results_dir is not None else None
     cached = store.load_fresh(jobs) if store is not None else {}
     pending = []
@@ -291,23 +310,6 @@ def run_matrix(contracts, presets, trials: int = 1, base_seed: int = 1,
     live = (_LiveProgressWriter(store.live_telemetry_path(), len(jobs),
                                 cached=len(cached))
             if telemetry and store is not None else None)
-
-    def heartbeat(wire) -> None:
-        if live is not None:
-            live.on_heartbeat(wire)
-        if on_heartbeat is not None:
-            on_heartbeat(wire)
-
-    engine = create_backend(backend, workers=workers,
-                            job_timeout=job_timeout,
-                            recycle_after=recycle_after,
-                            checkpoint_every=checkpoint_every,
-                            checkpoint_dir=(None if store is None
-                                            else store.root),
-                            telemetry=telemetry,
-                            heartbeat_every=heartbeat_every,
-                            heartbeat=(heartbeat if telemetry else None),
-                            disable=disabled)
     fresh = {}
     if pending:
         def on_settle(outcome):

@@ -276,11 +276,15 @@ class TestBudgetFlags:
                      "--checkpoint-every", "5"]) == 2
 
     def test_campaign_rejects_non_positive_checkpoint_every(
-            self, tmp_path, crowdsale_file):
+            self, capsys, tmp_path, crowdsale_file):
+        """Rejected before the store opens: no results dir is left."""
+        results_dir = tmp_path / "r"
         assert main(["campaign", crowdsale_file, "--fuzzers", "mufuzz",
                      "--trials", "1", "--iterations", "10",
-                     "--results-dir", str(tmp_path / "r"),
+                     "--results-dir", str(results_dir),
                      "--checkpoint-every", "0"]) == 2
+        assert "must be >= 1" in capsys.readouterr().err
+        assert not results_dir.exists()
 
 
 class TestCheckpointFlags:

@@ -4,6 +4,9 @@ from __future__ import annotations
 
 import logging
 import os
+import subprocess
+import sys
+import textwrap
 
 import pytest
 
@@ -263,6 +266,19 @@ class TestBackends:
         assert create_backend("pool", recycle_after=0).recycle_after is None
         assert create_backend("pool").recycle_after is None
 
+    def test_rejected_option_writes_no_results_dir(self, tmp_path):
+        """The backend is built before the store opens, so an option it
+        rejects leaves nothing on disk."""
+        results_dir = tmp_path / "results"
+        for bad in ({"checkpoint_every": 0},
+                    {"backend": "inline", "job_timeout": 5.0},
+                    {"recycle_after": -1}):
+            with pytest.raises(ValueError):
+                run_matrix([("Crowdsale", CROWDSALE_SOURCE)],
+                           presets=("mufuzz",), overrides=FAST,
+                           results_dir=results_dir, **bad)
+            assert not results_dir.exists(), bad
+
     def test_all_backends_byte_identical(self, tmp_path):
         """The determinism guard: every backend must persist exactly the
         same bytes for the same matrix, at any worker count (CI sweeps
@@ -453,6 +469,38 @@ class TestParallelExecution:
         assert outcome.status == "timeout"
         assert outcome.result is None
         assert "timeout" in outcome.error
+
+    def test_workers_dying_at_boot_stop_being_respawned(self, tmp_path):
+        """A script that runs a matrix without a ``__main__`` guard: every
+        spawned worker re-imports it and dies before taking a job.  After
+        three such deaths in a row the pool spawns no more workers and
+        fails the pending cells with one message naming the guard."""
+        script = tmp_path / "unguarded.py"
+        script.write_text(textwrap.dedent(f"""\
+            from repro.orchestrator import run_matrix
+            run = run_matrix([("Crowdsale", {CROWDSALE_SOURCE!r})],
+                             presets=("mufuzz", "sfuzz"), trials=4,
+                             overrides={FAST!r}, workers=2,
+                             backend="pool")
+            for outcome in run.outcomes:
+                print("outcome:", outcome.status,
+                      outcome.error.strip().splitlines()[-1])
+            """))
+        root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+        src = os.path.join(root, "src")
+        proc = subprocess.run([sys.executable, str(script)], cwd=tmp_path,
+                              env={**os.environ, "PYTHONPATH": src},
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr[-2000:]
+        outcomes = [line for line in proc.stdout.splitlines()
+                    if line.startswith("outcome:")]
+        assert len(outcomes) == 8
+        assert all(line.startswith("outcome: error") for line in outcomes)
+        died = [line for line in outcomes if "died with exit code" in line]
+        tripped = [line for line in outcomes
+                   if "if __name__ == \"__main__\":" in line]
+        assert len(died) <= 4, outcomes
+        assert len(died) + len(tripped) == 8, outcomes
 
 
 class TestMergeTrials:
