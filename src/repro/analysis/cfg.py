@@ -48,6 +48,8 @@ class CFG:
     #: sorted block starts for bisect lookup (rebuilt lazily when the block
     #: map grows — ``build_cfg`` mutates ``blocks`` while carving)
     _starts: list = field(default_factory=list, repr=False)
+    #: opcode set -> :meth:`reachable_opcode_sets` result
+    _reach: dict = field(default_factory=dict, repr=False)
 
     def block_at(self, pc: int) -> BasicBlock | None:
         """The block whose instruction range contains ``pc``.
@@ -66,9 +68,42 @@ class CFG:
         block = self.blocks[starts[index]]
         return block if pc < block.end else None
 
+    def reachable_opcode_sets(self, opcodes: frozenset) -> dict:
+        """Per block start, the members of ``opcodes`` statically
+        reachable from that block (inclusive).
+
+        Equal, block by block, to :meth:`reachable_opcodes_from` at the
+        block's start intersected with ``opcodes``, but computed for every
+        block at once: one fixpoint that pushes each block's set back
+        along its predecessor edges until nothing grows.  Memoized per
+        ``opcodes``, so every query after the first is a dict lookup.
+        """
+        reach = self._reach.get(opcodes)
+        if reach is not None:
+            return reach
+        reach = {start: opcodes.intersection(
+                     ins.opcode for ins in block.instructions)
+                 for start, block in self.blocks.items()}
+        preds: dict[int, list] = {start: [] for start in self.blocks}
+        for start, block in self.blocks.items():
+            for succ in block.successors:
+                if succ in preds:
+                    preds[succ].append(start)
+        work = list(self.blocks)
+        while work:
+            start = work.pop()
+            here = reach[start]
+            for pred in preds[start]:
+                if not here <= reach[pred]:
+                    reach[pred] = reach[pred] | here
+                    work.append(pred)
+        self._reach[opcodes] = reach
+        return reach
+
     def reachable_opcodes_from(self, start_pc: int) -> set:
         """All opcodes statically reachable from the block containing
-        ``start_pc`` (inclusive)."""
+        ``start_pc`` (inclusive): one walk per call, the reference for
+        :meth:`reachable_opcode_sets`."""
         origin = self.block_at(start_pc)
         if origin is None:
             return set()

@@ -9,7 +9,10 @@ exercised path:
    ``TIMESTAMP``, ``SELFDESTRUCT``, ...) is reachable from the branch
    (lines 11–15), computed here as static forward reachability over the CFG
    from either successor of the JUMPI — the "lightweight abstract
-   interpreter" of the paper, without a full symbolic store.
+   interpreter" of the paper, without a full symbolic store.  The first
+   query computes every block's reachable set in one fixpoint
+   (:meth:`~repro.analysis.cfg.CFG.reachable_opcode_sets`); later queries
+   are lookups.
 """
 
 from __future__ import annotations
@@ -45,20 +48,23 @@ _NO_REACH = BranchReachability(taken=frozenset(), fallthrough=frozenset())
 class PrefixAnalyzer:
     """Per-contract cache of CFG reachability used by the energy scheduler.
 
-    When a :class:`~repro.analysis.surface.VulnerabilitySurface` is
-    supplied, two of its whole-code facts short-circuit the per-branch
-    work: if no vulnerable opcode exists anywhere in the code, every
-    reachability query is the empty set without a single CFG walk; and
-    per-bug-class candidate pcs become queryable via
-    :meth:`candidate_pcs`.
+    When a :class:`~repro.analysis.surface.VulnerabilitySurface` of
+    ``runtime_code`` is supplied, the analyzer uses the CFG cached with
+    it, so every campaign over one code shares that CFG and the
+    reachability fixpoint memoized on it.  Two of the surface's
+    whole-code facts also short-circuit the per-branch work: if no
+    vulnerable opcode exists anywhere in the code, every reachability
+    query is the empty set without touching the CFG; and per-bug-class
+    candidate pcs become queryable via :meth:`candidate_pcs`.
     """
 
     def __init__(self, runtime_code: bytes, surface=None) -> None:
-        self.cfg: CFG = build_cfg(runtime_code)
+        cfg = surface.cfg if surface is not None else None
+        self.cfg: CFG = cfg if cfg is not None else build_cfg(runtime_code)
         self.surface = surface
         self._cache: dict[int, BranchReachability] = {}
         #: whole-code absence proof: reachable ⊆ present, so an empty
-        #: intersection here makes every per-branch BFS pointless
+        #: intersection here makes every per-branch query pointless
         self._any_vulnerable = (
             surface is None
             or bool(frozenset(surface.opcodes) & VULNERABLE_OPCODES))
@@ -84,16 +90,21 @@ class PrefixAnalyzer:
             succs = block.successors
             # build_cfg appends the static jump target first, fallthrough second
             if len(succs) >= 1:
-                taken = frozenset(
-                    self.cfg.reachable_opcodes_from(succs[0])
-                    & VULNERABLE_OPCODES)
+                taken = self._reachable_from(succs[0])
             if len(succs) >= 2:
-                fallthrough = frozenset(
-                    self.cfg.reachable_opcodes_from(succs[1])
-                    & VULNERABLE_OPCODES)
+                fallthrough = self._reachable_from(succs[1])
         result = BranchReachability(taken=taken, fallthrough=fallthrough)
         self._cache[jumpi_pc] = result
         return result
+
+    def _reachable_from(self, pc: int) -> frozenset:
+        reach = self.cfg.reachable_opcode_sets(VULNERABLE_OPCODES).get(pc)
+        if reach is None:
+            # a static jump target inside a block or past the code: only
+            # block starts have a fixpoint entry, so walk from it
+            reach = frozenset(self.cfg.reachable_opcodes_from(pc)
+                              & VULNERABLE_OPCODES)
+        return reach
 
     def vulnerable_reachable(self, jumpi_pc: int, taken: bool) -> frozenset:
         """Vulnerable opcodes reachable in the ``taken`` direction."""

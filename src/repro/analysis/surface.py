@@ -113,6 +113,10 @@ class VulnerabilitySurface:
     #: analysis wall time (diagnostic only — excluded from to_dict so the
     #: serialized report stays deterministic)
     analysis_seconds: float = field(default=0.0, compare=False)
+    #: the CFG the facts came from, kept for the prefix analyzer: cached
+    #: with the surface, so the campaigns over one code share it (and the
+    #: reachability fixpoint memoized on it); not part of to_dict
+    cfg: CFG | None = field(default=None, compare=False, repr=False)
 
     def dead_set(self) -> frozenset:
         """The proved-impossible classes as a frozenset of codes."""
@@ -268,6 +272,7 @@ def compute_surface(code: bytes) -> VulnerabilitySurface:
         read_slots=tuple(sorted(read_slots)),
         write_slots=tuple(sorted(write_slots)),
         analysis_seconds=time.perf_counter() - started,
+        cfg=cfg,
     )
 
 

@@ -46,29 +46,44 @@ are untouched by construction.  Two tiers:
   DELEGATECALL, whose handlers read the running gas counter), an
   undefined byte, or an always-raising opcode (CREATE, unhandled): the
   closure immediately returns the :data:`FUSION_BAILOUT` sentinel and the
-  machine finishes the frame on the plain table loop, with exact
-  per-instruction gas and steps (and the exact error, where there is one).
+  machine runs the block on the plain table loop, with exact
+  per-instruction gas and steps (and the exact error, where there is one),
+  until the frame reaches the next fused-tier entry.
 
 The table loop and the fused emitter are thus the only two
 implementations of per-opcode semantics.  Every CALL and DELEGATECALL
 runs on the table loop, so nested frames start only from it: no fused
 closure is ever suspended under another frame.
 
-Superblocks compile **on first entry**.  :func:`fused_program` does the
-cheap whole-program work up front: code analysis, the CFG, tier
-classification, the bailout closures, and the namespace the generated
-code runs in.  Each fused-tier entry starts as a stub, both in
-the program's block map and under its ``B{pc}`` name in that namespace.
-The stub's first call emits the entry's superblock, compiles it and execs
-it into the namespace (rebinding ``B{pc}``), replaces itself in the block
-map (and as ``FusedProgram.entry`` for pc 0), and runs the compiled
-closure.  Generated code looks ``B{pc}`` and the block map up at call
-time, so threaded returns and dynamic jumps reach compiled closures with
-no re-linking, and the code emitted for an entry does not depend on which
-entries compiled before it (up to the names of interned constants).  A
-campaign enters only a small share of a program's entries — 15-20% of a
-runtime program's on the benchmark workloads, under 2% of a large
-init-code program's — so most superblocks are never generated.
+The table loop is **tier 0**, and superblocks compile only once **warm**.
+:func:`fused_program` does the cheap whole-program work up front: code
+analysis, the CFG, tier classification, the bailout closures, and the
+namespace the generated code runs in.  Each fused-tier entry starts as a
+stub, both in the program's block map and under its ``B{pc}`` name in
+that namespace.  The stub counts its entries in the program's ``heat``
+map and declines its first :data:`FUSION_WARMUP` − 1 (returning
+:data:`FUSION_BAILOUT` at its own pc, so the table loop runs the block).
+Its :data:`FUSION_WARMUP`-th call emits the entry's superblock, compiles
+it and execs it into the namespace (rebinding ``B{pc}``), replaces itself
+in the block map (and as ``FusedProgram.entry`` for pc 0), and runs the
+compiled closure.  The block map holds fused-tier entries only, and the
+machine's table loop looks every JUMP target and both JUMPI sides up in
+it: a frame on the table loop — declined for warm-up, declined by a
+guard, or handed over by a bailout-tier block — returns to the fused tier
+at the next block boundary that has an entry (see
+:meth:`repro.evm.machine.Machine._run`).  Generated code looks ``B{pc}``
+and the block map up at call time, so threaded returns and dynamic jumps
+reach compiled closures with no re-linking.
+
+Continuation chaining (fallthrough, threaded JUMP, folded JUMPI) always
+splices the successor in, but a *runtime* JUMPI arm is chained only when
+its block has already run — compiled, or entered at least
+:data:`FUSION_ARM_GATE` times — so an entry's emitted code depends on
+which arms ran before it warmed.  An arm that was left out is reached
+through the trampoline, warms, and compiles as an entry of its own.  A
+campaign warms only a small share of a program's entries, so most
+superblocks are never generated, and cold arms are not copied into the
+ones that are.
 
 A fused closure may also *decline* at runtime (insufficient gas for the
 whole block, step budget nearly exhausted, stack precheck failure, dynamic
@@ -88,10 +103,11 @@ Block closure protocol::
 ``next_block`` is the next closure to run (``payload`` unused), ``None``
 for a successful halt (``payload`` is the returndata), or
 :data:`FUSION_BAILOUT` (``payload`` is the pc to resume the table loop
-from).  Exceptional halts raise :class:`~repro.evm.errors` types exactly
-like the table loop; closures sync ``machine._steps`` (and
-``machine._sync_gas`` ahead of REVERT) before any raising operation so the
-step count and revert gas refund stay exact.
+from; a cold stub's warm-up decline returns it too).  Exceptional
+halts raise :class:`~repro.evm.errors` types exactly like the table loop;
+closures sync ``machine._steps`` (and ``machine._sync_gas`` ahead of
+REVERT) before any raising operation so the step count and revert gas
+refund stay exact.
 
 Programs are cached in a process-level LRU beside
 :mod:`repro.evm.analysis`'s ``CodeAnalysis`` cache — but keyed on the
@@ -202,6 +218,9 @@ TIER_BAILOUT = "bailout"
 # the totals into the registry's counters.  Programs and tier counts are
 # counted when a program is classified; folded/inlined ops, threaded
 # jumps, chained blocks and compiled entries as each entry compiles.
+# The machine reports every hand-off to the table loop and every return
+# from it; cold stubs count their own warm-up declines, which
+# ``runtime_bailouts`` leaves out.
 
 _T_PROGRAMS = _metrics.counter("fusion.programs_compiled")
 _T_FUSED = _metrics.counter("fusion.blocks.fused")
@@ -213,6 +232,8 @@ _T_CHAINED = _metrics.counter("fusion.chained_blocks")
 _T_ENTRIES = _metrics.counter("fusion.entries_compiled")
 _T_FUSED_STEPS = _metrics.counter("fusion.fused_steps")
 _T_RT_BAILOUTS = _metrics.counter("fusion.runtime_bailouts")
+_T_WARMUP = _metrics.counter("fusion.warmup_declines")
+_T_REENTRIES = _metrics.counter("fusion.reentries")
 _T_HITS = _metrics.counter("fusion.cache.hits")
 _T_MISSES = _metrics.counter("fusion.cache.misses")
 _T_REASONS = {
@@ -229,7 +250,10 @@ _inlined_ops = 0
 _threaded_jumps = 0
 _chained_blocks = 0
 _entries_compiled = 0
-_runtime_bailouts = 0
+#: every hand-off to the table loop, warm-up declines included
+_handoffs = 0
+_warmup_declines = 0
+_reentries = 0
 _fallback_reasons: dict[str, int] = {}
 #: fused runtime step count — a list cell so generated code can bump it
 #: with one indexed add, no global statement
@@ -246,7 +270,9 @@ def _collect_fusion_counters() -> None:
     _T_CHAINED.set_total(_chained_blocks)
     _T_ENTRIES.set_total(_entries_compiled)
     _T_FUSED_STEPS.set_total(_FUSED_STEPS[0])
-    _T_RT_BAILOUTS.set_total(_runtime_bailouts)
+    _T_RT_BAILOUTS.set_total(_handoffs - _warmup_declines)
+    _T_WARMUP.set_total(_warmup_declines)
+    _T_REENTRIES.set_total(_reentries)
     _T_HITS.set_total(_hits)
     _T_MISSES.set_total(_misses)
     for reason, counter in _T_REASONS.items():
@@ -256,10 +282,17 @@ def _collect_fusion_counters() -> None:
 _metrics.register_collector(_collect_fusion_counters)
 
 
-def note_runtime_bailout() -> None:
-    """Called by the machine when a closure declines at runtime."""
-    global _runtime_bailouts
-    _runtime_bailouts += 1
+def note_handoff() -> None:
+    """Called by the machine when a closure or stub hands a frame to the
+    table loop."""
+    global _handoffs
+    _handoffs += 1
+
+
+def note_reentry() -> None:
+    """Called by the machine when the table loop hands a frame back."""
+    global _reentries
+    _reentries += 1
 
 
 class FusedProgram:
@@ -268,21 +301,24 @@ class FusedProgram:
     Everything but the fused superblocks is built when the program is
     created: tiers, the bailout closures, the shared namespace.
     Each fused-tier entry starts as a stub (in ``blocks`` and, as
-    ``B{pc}``, in the namespace) that emits, compiles and installs its
-    superblock the first time it runs, replacing itself — and ``entry``
-    for pc 0 — before running the compiled closure.  ``sources`` holds
-    the generated source of the entries compiled so far.
+    ``B{pc}``, in the namespace) that counts its entries in ``heat`` and
+    emits, compiles and installs its superblock on the
+    :data:`FUSION_WARMUP`-th, replacing itself — and ``entry`` for pc 0 —
+    before running the compiled closure.  ``sources`` holds the generated
+    source of the entries compiled so far.
     """
 
-    __slots__ = ("entry", "blocks", "tiers", "stats", "sources", "_compile")
+    __slots__ = ("entry", "blocks", "tiers", "stats", "sources", "heat",
+                 "_compile")
 
     def __init__(self, entry, blocks: dict, tiers: dict, stats: dict,
-                 sources: dict, compile_entry) -> None:
+                 sources: dict, heat: dict, compile_entry) -> None:
         self.entry = entry          # closure or stub for pc 0, or None
-        self.blocks = blocks        # start pc -> closure or stub
+        self.blocks = blocks        # fused-tier start pc -> closure or stub
         self.tiers = tiers          # start pc -> TIER_* string
         self.stats = stats          # compile-time counts (tests)
         self.sources = sources      # start pc -> source, compiled entries
+        self.heat = heat            # start pc -> entries while cold
         self._compile = compile_entry
 
     @property
@@ -291,10 +327,12 @@ class FusedProgram:
         return "\n".join(self.sources[pc] for pc in sorted(self.sources))
 
     def compile_all(self) -> None:
-        """Compile every fused entry not entered yet (tests, benches)."""
-        for start, tier in self.tiers.items():
-            if tier == TIER_FUSED:
-                self._compile(start)
+        """Compile every fused entry not compiled yet, chaining every
+        runtime JUMPI arm as though each block had run (tests)."""
+        for start in self.blocks:
+            self.heat[start] = max(self.heat.get(start, 0), FUSION_ARM_GATE)
+        for start in list(self.blocks):
+            self._compile(start)
 
 
 # -- classification -----------------------------------------------------------
@@ -790,9 +828,19 @@ def _emit_inline(op, pc, pending, out, sname, bname, flush, mask,
 #: at JUMPDESTs run without any block transition
 FUSION_CHAIN_LIMIT = 32
 
+#: a fused-tier entry compiles on this entry; the ones before it decline
+#: and run on the table loop (tier 0), so code entered only a few times
+#: per process is never generated
+FUSION_WARMUP = 8
+
+#: a runtime JUMPI arm whose block is not compiled yet is chained only
+#: once its stub has counted this many entries: an arm that never ran is
+#: left to the trampoline instead of being copied into its parent
+FUSION_ARM_GATE = 2
+
 
 def _emit_fused_block(block, analysis, cfg, mask, ns, hname, sname, bname,
-                      lines, stats, tiers) -> None:
+                      lines, stats, tiers, arm_ran) -> None:
     """Append the generated source for one fused *superblock* to ``lines``.
 
     The closure entered at ``block.start`` greedily **chains** statically
@@ -814,9 +862,11 @@ def _emit_fused_block(block, analysis, cfg, mask, ns, hname, sname, bname,
     A *runtime* JUMPI's chained arms are only conditionally reached, so
     each arm chain starts a fresh group with its own guard and its own
     pre-charge mid-closure — resume pc and accounting there reflect
-    exactly the groups that actually ran.  Back edges never chain (the
-    target is already part of the chain), so loops still cross the
-    trampoline once per iteration.
+    exactly the groups that actually ran.  Such an arm chains only when
+    ``arm_ran(target)`` says its block has already run; otherwise the
+    closure returns the arm's entry.  Back edges never chain (the target
+    is already part of the chain), so loops still cross the trampoline
+    once per iteration.
     """
     start = block.start
     code_len = analysis.code_len
@@ -855,9 +905,11 @@ def _emit_fused_block(block, analysis, cfg, mask, ns, hname, sname, bname,
         execute whenever the current segment does (fallthrough, threaded
         JUMP, folded JUMPI): the spliced segment joins the current guard
         group.  Conditionally reached transfers (runtime JUMPI arms)
-        leave ``cont=False`` and start a group of their own."""
+        leave ``cont=False``, chain only into blocks that have run, and
+        start a group of their own."""
         if (budget[0] > 0 and target not in path
-                and tiers.get(target) == TIER_FUSED):
+                and tiers.get(target) == TIER_FUSED
+                and (cont or arm_ran(target))):
             budget[0] -= 1
             stats["chained"] += 1
             mark = len(out)
@@ -1199,10 +1251,17 @@ def _make_bailout_block(start: int):
 # -- program compilation ------------------------------------------------------
 
 
-def _make_stub(compile_entry, start: int):
-    """First-entry stand-in for the fused superblock at ``start``."""
+def _make_stub(compile_entry, heat: dict, start: int):
+    """Cold stand-in for the fused superblock at ``start``: declines
+    before :data:`FUSION_WARMUP` entries, then compiles and runs it."""
 
     def stub(m, frame, depth, gas, steps):
+        global _warmup_declines
+        entries = heat.get(start, 0) + 1
+        heat[start] = entries
+        if entries < FUSION_WARMUP:
+            _warmup_declines += 1
+            return FUSION_BAILOUT, gas, steps, start
         return compile_entry(start)(m, frame, depth, gas, steps)
 
     return stub
@@ -1210,7 +1269,7 @@ def _make_stub(compile_entry, start: int):
 
 def _compile_program(code: bytes, mask: int) -> FusedProgram:
     """Classify every block and build everything but the fused
-    superblocks, which compile on first entry (see :class:`FusedProgram`)."""
+    superblocks, which compile once warm (see :class:`FusedProgram`)."""
     global _programs, _blocks_fused, _blocks_bailout
     analysis = analyze_code(code)
     cfg = build_cfg(code)
@@ -1282,6 +1341,10 @@ def _compile_program(code: bytes, mask: int) -> FusedProgram:
 
     filename = f"<fusion:{hashlib.sha256(code).hexdigest()[:12]}:{mask:#x}>"
     sources: dict[int, str] = {}
+    heat: dict[int, int] = {}
+
+    def arm_ran(start: int) -> bool:
+        return start in sources or heat.get(start, 0) >= FUSION_ARM_GATE
 
     def compile_entry(start: int):
         """Emit, compile and install the superblock entered at ``start``.
@@ -1294,7 +1357,7 @@ def _compile_program(code: bytes, mask: int) -> FusedProgram:
         counts = {"folded": 0, "inlined": 0, "threaded": 0, "chained": 0}
         lines: list[str] = []
         _emit_fused_block(cfg.blocks[start], analysis, cfg, mask, ns, hname,
-                          sname, bname, lines, counts, tiers)
+                          sname, bname, lines, counts, tiers, arm_ran)
         source = "\n".join(lines)
         exec(compile(source, filename, "exec"), ns)  # rebinds B{start}
         closure = blocks[start] = ns[f"B{start}"]
@@ -1310,18 +1373,19 @@ def _compile_program(code: bytes, mask: int) -> FusedProgram:
         _chained_blocks += counts["chained"]
         return closure
 
+    # every block closure (or stub) is reachable by name from generated
+    # code (threaded returns may target bailout blocks too); the block
+    # map, which dynamic jumps and the table loop look up, holds only
+    # fused-tier entries
     for start in sorted(cfg.blocks):
         if tiers[start] == TIER_FUSED:
-            blocks[start] = _make_stub(compile_entry, start)
+            closure = blocks[start] = _make_stub(compile_entry, heat, start)
             stats["fused"] += 1
         else:
-            blocks[start] = _make_bailout_block(start)
+            closure = _make_bailout_block(start)
             stats["bailout"] += 1
             reason = reasons[start]
             stats["reasons"][reason] = stats["reasons"].get(reason, 0) + 1
-    # every block closure (or stub) is reachable by name from generated
-    # code (threaded returns may target bailout blocks too)
-    for start, closure in blocks.items():
         ns[f"B{start}"] = closure
 
     _programs += 1
@@ -1330,8 +1394,8 @@ def _compile_program(code: bytes, mask: int) -> FusedProgram:
     for reason, count in stats["reasons"].items():
         _fallback_reasons[reason] = _fallback_reasons.get(reason, 0) + count
     # bound to a name: compile_entry installs entry 0 as ``program.entry``
-    program = FusedProgram(blocks.get(0), blocks, tiers, stats, sources,
-                           compile_entry)
+    program = FusedProgram(ns.get("B0"), blocks, tiers, stats, sources,
+                           heat, compile_entry)
     return program
 
 
@@ -1388,7 +1452,10 @@ def fusion_stats() -> dict:
         "chained_blocks": _chained_blocks,
         "entries_compiled": _entries_compiled,
         "fused_steps": _FUSED_STEPS[0],
-        "runtime_bailouts": _runtime_bailouts,
+        # hand-offs from compiled closures and bailout-tier blocks
+        "runtime_bailouts": _handoffs - _warmup_declines,
+        "warmup_declines": _warmup_declines,
+        "reentries": _reentries,
         "fallback_reasons": dict(_fallback_reasons),
         "hits": _hits,
         "misses": _misses,
@@ -1400,7 +1467,8 @@ def clear_cache() -> None:
     """Drop every cached program and reset the counters (tests)."""
     global _programs, _blocks_fused, _blocks_bailout
     global _folded_ops, _inlined_ops, _threaded_jumps, _chained_blocks
-    global _entries_compiled, _runtime_bailouts, _hits, _misses
+    global _entries_compiled, _handoffs, _warmup_declines, _reentries
+    global _hits, _misses
     _cache.clear()
     _id_memo.clear()
     _programs = 0
@@ -1411,7 +1479,9 @@ def clear_cache() -> None:
     _threaded_jumps = 0
     _chained_blocks = 0
     _entries_compiled = 0
-    _runtime_bailouts = 0
+    _handoffs = 0
+    _warmup_declines = 0
+    _reentries = 0
     _fallback_reasons.clear()
     _FUSED_STEPS[0] = 0
     _hits = 0

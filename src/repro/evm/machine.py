@@ -6,11 +6,13 @@ maintains taint shadows, records semantic trace events, and implements real
 revert/rollback semantics via world snapshots, so that reentrancy, unhandled
 exceptions, and overflow truncation behave exactly as they would on Ethereum.
 
-The hot loop is table-dispatched: :func:`repro.evm.analysis.analyze_code`
-predecodes each bytecode once per process (jumpdests, PUSH immediates,
-per-opcode gas, handler functions from :mod:`repro.evm.handlers`), and
-``_run`` walks that table with no per-step dict probes or enum
-constructions.
+Execution has two tiers.  Tier 0 is table-dispatched:
+:func:`repro.evm.analysis.analyze_code` predecodes each bytecode once per
+process (jumpdests, PUSH immediates, per-opcode gas, handler functions
+from :mod:`repro.evm.handlers`), and ``_run_table`` walks that table with
+no per-step dict probes or enum constructions.  With block fusion on,
+warm basic blocks run as compiled superblocks (:mod:`repro.evm.fusion`),
+and ``_run`` moves a frame between the two loops at block boundaries.
 """
 
 from __future__ import annotations
@@ -266,25 +268,44 @@ class Machine:
     # -- the interpreter loop -------------------------------------------------
 
     def _run(self, frame: CallContext, depth: int) -> ExecutionResult:
+        """Run ``frame`` to its end on the two tiers, one loop driving both.
+
+        With block fusion on, the frame starts on the fused tier (see
+        :mod:`repro.evm.fusion`).  A closure that declines — a cold entry
+        warming up, a failed guard, a bailout-tier block — hands the frame
+        to the table loop (tier 0) at the declining block's pc, and the
+        table loop hands it back at the next JUMP target or JUMPI side that
+        has a fused-tier entry.  Either loop returns the
+        :class:`ExecutionResult` when the frame ends, else ``(block,
+        gas)``: the closure to re-enter (``None``: the table loop, from
+        ``frame.pc``) and the gas left; ``self._steps`` carries the step
+        count across.
+        """
         code = frame.msg.code
         analysis = analyze_code(code)
-        if self.block_fusion and frame.pc == 0:
+        gas = frame.msg.gas
+        block = entries = None
+        if self.block_fusion:
             program = fused_program(code, self.event_mask)
-            entry = program.entry
-            if entry is not None:
-                return self._run_fused(entry, frame, depth, analysis)
-        return self._run_table(frame, depth, analysis)
+            block = program.entry
+            entries = program.blocks
+        while True:
+            if block is None:
+                out = self._run_table(frame, depth, analysis, gas, entries)
+            else:
+                out = self._run_fused(block, frame, depth, gas)
+            if out.__class__ is ExecutionResult:
+                return out
+            block, gas = out
 
-    def _run_fused(self, block, frame: CallContext, depth: int,
-                   analysis) -> ExecutionResult:
-        """Block-threaded outer loop (see :mod:`repro.evm.fusion`).
+    def _run_fused(self, block, frame: CallContext, depth: int, gas: int):
+        """Block-threaded loop (see :mod:`repro.evm.fusion`).
 
         Each closure returns the next block's closure directly, ``None``
-        for a successful halt, or :data:`FUSION_BAILOUT` to hand the rest
-        of the frame to the table loop (always before executing any part
-        of the declining block, so the replay is byte-identical).
+        for a successful halt, or :data:`FUSION_BAILOUT` to hand the frame
+        to the table loop (always before executing any part of the
+        declining block, so the replay is byte-identical).
         """
-        gas = frame.msg.gas
         steps = self._steps
         try:
             while True:
@@ -294,9 +315,8 @@ class Machine:
                     return ExecutionResult(True, payload, gas_left=gas)
                 if nxt is FUSION_BAILOUT:
                     frame.pc = payload
-                    fusion.note_runtime_bailout()
-                    return self._run_table(frame, depth, analysis,
-                                           gas=gas, steps=steps)
+                    fusion.note_handoff()
+                    return None, gas
                 block = nxt
         except Revert as exc:
             return ExecutionResult(False, error=f"revert: {exc}",
@@ -311,13 +331,14 @@ class Machine:
                 self._steps = steps
 
     def _run_table(self, frame: CallContext, depth: int, analysis,
-                   gas: int | None = None,
-                   steps: int | None = None) -> ExecutionResult:
+                   gas: int, entries: dict | None):
+        """Per-instruction loop from ``frame.pc``.  ``entries`` is the
+        fused program's block map (``None`` with block fusion off): the
+        frame leaves for the fused tier at the first block boundary it
+        crosses that has an entry."""
         msg = frame.msg
         code = msg.code
         stack = frame.stack
-        if gas is None:
-            gas = msg.gas
         jumpdests = analysis.jumpdests
         decoded = analysis.decoded
         n = analysis.code_len
@@ -328,8 +349,7 @@ class Machine:
         pc = frame.pc
         # local step counter: synced with self._steps only around nested
         # calls (KIND_CALL) and on frame exit — see the finally clause
-        if steps is None:
-            steps = self._steps
+        steps = self._steps
 
         try:
             while pc < n:
@@ -393,9 +413,7 @@ class Machine:
                         pc = dest
                     else:
                         pc = b
-                    continue
-
-                if kind == KIND_JUMP:
+                elif kind == KIND_JUMP:
                     if not values:
                         raise StackUnderflow("pop from empty stack")
                     shadows.pop()
@@ -403,13 +421,10 @@ class Machine:
                     if dest not in jumpdests:
                         raise InvalidJump(f"JUMP to {dest} at pc={pc}")
                     pc = dest
-                    continue
-
-                if kind == KIND_JUMPDEST:
+                elif kind == KIND_JUMPDEST:
                     pc = b
                     continue
-
-                if kind == KIND_CALL:
+                elif kind == KIND_CALL:
                     # nested frames advance self._steps: sync out, reload
                     self._steps = steps
                     result = a(self, pc, frame, depth, gas)
@@ -417,9 +432,16 @@ class Machine:
                     gas = result[1]
                     pc = b
                     continue
+                else:  # KIND_STOP
+                    return ExecutionResult(True, gas_left=gas)
 
-                # KIND_STOP
-                return ExecutionResult(True, gas_left=gas)
+                # a JUMP or JUMPI crossed a block boundary: hand the frame
+                # back to the fused tier where the new block has an entry
+                if entries is not None:
+                    nb = entries.get(pc)
+                    if nb is not None:
+                        fusion.note_reentry()
+                        return nb, gas
 
             return ExecutionResult(True, gas_left=gas)
         except Revert as exc:

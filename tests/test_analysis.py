@@ -217,6 +217,46 @@ class TestPrefixAnalyzer:
         first = analyzer.reachability(pc)
         assert analyzer.reachability(pc) is first
 
+    def test_campaigns_share_one_cfg_and_fixpoint(self, crowdsale_artifact,
+                                                  monkeypatch):
+        code = crowdsale_artifact.runtime_code
+        surface = surface_for(code)
+        first = PrefixAnalyzer(code, surface=surface)
+        second = PrefixAnalyzer(code, surface=surface)
+        assert first.cfg is second.cfg is surface.cfg
+        walks = []
+        reference = type(surface.cfg).reachable_opcodes_from
+        monkeypatch.setattr(type(surface.cfg), "reachable_opcodes_from",
+                            lambda cfg, pc: walks.append(pc)
+                            or reference(cfg, pc))
+        fresh = PrefixAnalyzer(code)
+        for pc in crowdsale_artifact.branch_info:
+            # every JUMPI successor is a block start: no per-query walk
+            assert first.reachability(pc) == second.reachability(pc) \
+                == fresh.reachability(pc)
+        assert walks == []
+        assert len(surface.cfg._reach) == 1
+
+    def test_fixpoint_matches_bfs_on_every_corpus_block(self):
+        """The one-pass reachability fixpoint equals the per-block walk
+        on every block of the D1, D2 and D3 corpora."""
+        from repro.analysis.prefix import VULNERABLE_OPCODES
+        from repro.corpus import generate_d1, generate_d2, generate_d3
+
+        blocks = 0
+        for contract in [*generate_d1(), *generate_d2(), *generate_d3()]:
+            code = compile_source(contract.source,
+                                  contract.name).runtime_code
+            cfg = build_cfg(code)
+            fixpoint = cfg.reachable_opcode_sets(VULNERABLE_OPCODES)
+            assert fixpoint.keys() == cfg.blocks.keys()
+            for start in cfg.blocks:
+                assert fixpoint[start] == (
+                    cfg.reachable_opcodes_from(start)
+                    & VULNERABLE_OPCODES), (contract.name, start)
+            blocks += len(cfg.blocks)
+        assert blocks > 30_000
+
 
 class TestDistances:
     def _trace_with_branch(self, pc=5, taken=False, dist_true=7,

@@ -2,16 +2,17 @@
 
 Covers the compile-time machinery directly — constant folding (values and
 shadows), PUSH+JUMP threading, tier classification and fallback reasons,
-the mask-keyed program memo, compile on first entry — plus end-to-end
-differential checks that a fused Machine reproduces the table loop byte
-for byte on hand-written programs exercising every tier and bailout path,
-on compiled contracts whose frames hand off to the table loop at a CALL
-or DELEGATECALL, and on superblocks that compile mid-campaign or under a
-reentrant frame.  The hypothesis-based differential sweep lives in
-test_properties.py.
+the mask-keyed program memo, warm-up compilation and arm gating — plus
+end-to-end differential checks that a fused Machine reproduces the table
+loop byte for byte on hand-written programs exercising every tier and
+bailout path, on compiled contracts whose frames hand off to the table
+loop at a CALL or DELEGATECALL and re-enter fused code at a later jump,
+and on superblocks that compile mid-campaign or under a reentrant frame.
+The hypothesis-based differential sweep lives in test_properties.py.
 """
 
 import sys
+from collections import Counter
 
 import pytest
 
@@ -23,7 +24,9 @@ from repro.compiler import compile_source, encode_call
 from repro.corpus import generate_d3
 from repro.evm import fusion
 from repro.evm.fusion import (
+    FUSION_ARM_GATE,
     FUSION_BAILOUT,
+    FUSION_WARMUP,
     TIER_BAILOUT,
     TIER_FUSED,
     FusedProgram,
@@ -58,9 +61,9 @@ def push1(v):
 
 
 def compiled_program(code: bytes, event_mask: int):
-    """The fused program with every entry compiled, so its ``source`` and
-    compile-time ``stats`` cover all of it (entries otherwise compile on
-    first entry)."""
+    """The fused program with every entry compiled and every arm chained,
+    so its ``source`` and compile-time ``stats`` cover all of it (entries
+    otherwise compile once warm)."""
     program = fused_program(code, event_mask)
     program.compile_all()
     return program
@@ -68,7 +71,13 @@ def compiled_program(code: bytes, event_mask: int):
 
 def run_code(code: bytes, *, block_fusion: bool, event_mask: int = EV_ALL,
              calldata: bytes = b"", gas: int = 1_000_000,
-             max_steps: int = 200_000):
+             max_steps: int = 200_000, precompile: bool = True):
+    """One transaction.  With block fusion on, ``precompile`` first
+    compiles the whole program, so the fused tier runs from the first
+    entry; ``precompile=False`` runs the program as cached (from cold in
+    a fresh test: warm-up declines and the table loop)."""
+    if block_fusion and precompile:
+        compiled_program(code, event_mask)
     world = WorldState()
     world.account(0xAAA)
     world.set_balance(0xBEEF, 10 ** 20)
@@ -88,12 +97,13 @@ def _trace_tuple(machine):
 
 def assert_differential(code: bytes, *, event_mask: int = EV_ALL,
                         calldata: bytes = b"", gas: int = 1_000_000,
-                        max_steps: int = 200_000):
+                        max_steps: int = 200_000, precompile: bool = True):
     """Fused and table execution must agree on result, trace, and state."""
     res_t, m_t = run_code(code, block_fusion=False, event_mask=event_mask,
                           calldata=calldata, gas=gas, max_steps=max_steps)
     res_f, m_f = run_code(code, block_fusion=True, event_mask=event_mask,
-                          calldata=calldata, gas=gas, max_steps=max_steps)
+                          calldata=calldata, gas=gas, max_steps=max_steps,
+                          precompile=precompile)
     assert (res_f.success, res_f.returndata, res_f.error, res_f.gas_left) \
         == (res_t.success, res_t.returndata, res_t.error, res_t.gas_left)
     assert _trace_tuple(m_f) == _trace_tuple(m_t)
@@ -367,7 +377,7 @@ class TestCache:
         assert res.success
 
 
-# -- compile on first entry ---------------------------------------------------
+# -- compile once warm --------------------------------------------------------
 
 #: a dynamic dispatcher: B0 jumps to the pc held in calldata word 0, and
 #: three JUMPDEST entries each store a distinct value and stop
@@ -375,6 +385,12 @@ DISPATCH = asm(push1(0), Op.CALLDATALOAD, Op.JUMP,        # pc 0..3
                Op.JUMPDEST, push1(1), push1(0), Op.SSTORE, Op.STOP,  # pc 4
                Op.JUMPDEST, push1(2), push1(0), Op.SSTORE, Op.STOP,  # pc 11
                Op.JUMPDEST, push1(3), push1(0), Op.SSTORE, Op.STOP)  # pc 18
+
+#: B0 ends in a runtime JUMPI on calldata word 0: taken to the JUMPDEST at
+#: pc 12, else falling through to the block at pc 6
+FORK = asm(push1(0), Op.CALLDATALOAD, push1(12), Op.JUMPI,       # pc 0..5
+           push1(1), push1(0), Op.SSTORE, Op.STOP,               # pc 6
+           Op.JUMPDEST, push1(2), push1(0), Op.SSTORE, Op.STOP)  # pc 12
 
 
 #: a reentrancy vault with one more function, ``poke``, whose loop header
@@ -399,23 +415,24 @@ contract Vault {
 """
 
 
-def _entered_entries(run) -> set:
-    """Start pcs of the generated superblocks ``run()`` calls: the
-    entries a transaction enters (chained bodies run inline, uncalled)."""
-    entered = set()
+def _stub_calls(run) -> Counter:
+    """Calls of cold-entry stubs during ``run()``, per entry pc: the
+    entries counted toward warm-up (chained bodies and compiled closures
+    are not stubs)."""
+    calls: Counter = Counter()
 
     def profile(frame, event, arg):
         code = frame.f_code
-        if (event == "call" and code.co_filename.startswith("<fusion:")
-                and code.co_name != "<module>"):  # not the exec itself
-            entered.add(int(code.co_name[1:]))
+        if (event == "call" and code.co_name == "stub"
+                and code.co_filename == fusion.__file__):
+            calls[frame.f_locals["start"]] += 1
 
     sys.setprofile(profile)
     try:
         run()
     finally:
         sys.setprofile(None)
-    return entered
+    return calls
 
 
 class TestLazyCompile:
@@ -426,20 +443,37 @@ class TestLazyCompile:
         assert program.sources == {}
         assert program.source == ""
         stats = fusion_stats()
-        # classification counts at creation, emission counts on entry
+        # classification counts at creation, emission counts once warm
         assert stats["programs"] == 1 and stats["blocks_fused"] == 4
         assert stats["entries_compiled"] == 0
         assert stats["folded_ops"] == stats["inlined_ops"] == 0
 
-        for dest, stored, entered in ((11, 2, {0, 11}), (11, 2, {0, 11}),
-                                      (18, 3, {0, 11, 18})):
-            data = dest.to_bytes(32, "big")
-            res, m = assert_differential(DISPATCH, calldata=data)
-            assert res.success
-            assert m.world.account(0xAAA).storage[0] == stored
-            assert fused_program(DISPATCH, EV_ALL) is program
-            assert set(program.sources) == entered
-            assert fusion_stats()["entries_compiled"] == len(entered)
+        to_11 = (11).to_bytes(32, "big")
+        for n in range(1, FUSION_WARMUP):
+            res, m = assert_differential(DISPATCH, calldata=to_11,
+                                         precompile=False)
+            assert m.world.account(0xAAA).storage[0] == 2
+            # B0 declined, the table loop jumped to 11 and handed the
+            # frame back, and B11 declined too: nothing compiled
+            assert program.heat == {0: n, 11: n}
+            assert program.sources == {}
+            stats = fusion_stats()
+            assert stats["entries_compiled"] == 0
+            assert stats["warmup_declines"] == 2 * n
+            assert stats["reentries"] == n
+            assert stats["runtime_bailouts"] == 0
+        # the warm-up-th entry compiles both entries the frame enters
+        assert_differential(DISPATCH, calldata=to_11, precompile=False)
+        assert set(program.sources) == {0, 11}
+        assert fusion_stats()["entries_compiled"] == 2
+        # a cold entry behind compiled code declines and stays a stub
+        res, m = assert_differential(DISPATCH, calldata=(18).to_bytes(32,
+                                                                      "big"),
+                                     precompile=False)
+        assert m.world.account(0xAAA).storage[0] == 3
+        assert program.heat[18] == 1
+        assert set(program.sources) == {0, 11}
+        assert fused_program(DISPATCH, EV_ALL) is program
         assert program.entry is program.blocks[0]
         assert program.entry.__name__ == "B0"
         assert program.blocks[4].__name__ == "stub"  # never entered
@@ -456,17 +490,41 @@ class TestLazyCompile:
         program = fused_program(crowdsale_artifact.runtime_code,
                                 chain.event_mask)
         calls = [("invest", [5]), ("refund", []), ("invest", [10 ** 21]),
-                 ("invest", [1]), ("withdraw", [])]
+                 ("invest", [1]), ("withdraw", [])] * 3
+        entries: Counter = Counter()
         for name, args in calls:
             data = encode_call(crowdsale_artifact.abi.function(name), args)
             before = set(program.sources)
-            entered = _entered_entries(lambda: chain.apply(Transaction(
-                sender=ALICE, to=deployed.address, data=data)))
-            assert entered
-            assert set(program.sources) == before | entered
+            seen = dict(entries)
+            entries.update(_stub_calls(lambda: chain.apply(Transaction(
+                sender=ALICE, to=deployed.address, data=data))))
+            warmed = {pc for pc, n in entries.items()
+                      if n >= FUSION_WARMUP > seen.get(pc, 0)}
+            assert set(program.sources) == before | warmed
+        assert program.sources
         fused = {pc for pc, tier in program.tiers.items()
                  if tier == TIER_FUSED}
         assert set(program.sources) < fused  # never the whole program
+
+    def test_unchained_arm_compiles_as_its_own_entry(self):
+        program = fused_program(FORK, EV_ALL)
+        fall, taken = (0).to_bytes(32, "big"), (1).to_bytes(32, "big")
+        for _ in range(FUSION_WARMUP):
+            assert_differential(FORK, calldata=fall, precompile=False)
+        # B0 warmed after its fallthrough ran, so only that arm chained;
+        # the taken arm, never run, is left to the trampoline
+        assert set(program.sources) == {0}
+        assert program.heat[6] >= FUSION_ARM_GATE and 12 not in program.heat
+        parent = program.sources[0]
+        assert "return B12, gas, steps, None" in parent
+        assert "return B6," not in parent
+        for n in range(1, FUSION_WARMUP + 1):
+            res, m = assert_differential(FORK, calldata=taken,
+                                         precompile=False)
+            assert m.world.account(0xAAA).storage[0] == 2
+            assert (12 in program.sources) == (n == FUSION_WARMUP)
+        assert program.sources[0] == parent  # the parent never recompiles
+        assert fusion_stats()["entries_compiled"] == 2
 
     def test_partially_compiled_program_serves_a_second_campaign(self):
         contract = generate_d3(count=2)[1]
@@ -486,7 +544,7 @@ class TestLazyCompile:
         assert 0 < first["entries_compiled"] < first["blocks_fused"]
         reused = campaign("sfuzz")
         second = fusion_stats()
-        # sfuzz found every program mufuzz built, and entered new entries
+        # sfuzz found every program mufuzz built, and warmed new entries
         assert second["misses"] == first["misses"]
         assert second["entries_compiled"] > first["entries_compiled"]
 
@@ -523,18 +581,23 @@ class TestLazyCompile:
             agent = CountingAgent(attacker)
             chain.register_agent(attacker, agent)
             deployed = chain.deploy(artifact, sender=ALICE)
-            join = artifact.abi.function("join")
-            redeem = artifact.abi.function("redeem")
-            chain.apply(Transaction(sender=ALICE, to=deployed.address,
-                                    value=10_000, data=encode_call(join, [])))
+            join = encode_call(artifact.abi.function("join"), [])
+            redeem = encode_call(artifact.abi.function("redeem"), [])
+            # warm redeem's path up to its CALL block
+            for _ in range(FUSION_WARMUP):
+                chain.apply(Transaction(sender=ALICE, to=deployed.address,
+                                        value=10_000, data=join))
+                chain.apply(Transaction(sender=ALICE, to=deployed.address,
+                                        data=redeem))
             chain.apply(Transaction(sender=attacker, to=deployed.address,
-                                    value=1_000, data=encode_call(join, [])))
-            # the nested frame runs a loop no frame has entered yet
-            agent.arm(encode_call(artifact.abi.function("poke"), [3]))
+                                    value=1_000, data=join))
+            # the nested frame runs a loop no frame has entered yet, long
+            # enough for its header to warm
+            agent.arm(encode_call(artifact.abi.function("poke"),
+                                  [FUSION_WARMUP]))
             start = fusion_stats()["runtime_bailouts"]
             receipt = chain.apply(Transaction(
-                sender=attacker, to=deployed.address,
-                data=encode_call(redeem, [])))
+                sender=attacker, to=deployed.address, data=redeem))
             account = chain.world.account(deployed.address)
             return (receipt.success, receipt.returndata, receipt.error,
                     _trace_tuple(receipt), account.storage,
@@ -546,8 +609,9 @@ class TestLazyCompile:
         fused, compiled, start = attack(block_fusion=True)
         assert fused == table
         assert any(c.reentrant for c in table[3][2])
-        # the outer frame handed off at its CALL block before the reentry,
-        # and the nested frame then compiled the loop's entries
+        # the outer frame ran compiled code to its CALL block and handed
+        # off there before the reentry, and the nested frame then
+        # compiled the loop's entries
         (before, after, handoffs), = compiled
         assert handoffs > start
         assert after > before
@@ -598,11 +662,13 @@ BENIGN = 0x111
 
 
 def _hand_off(tail: str, block_fusion: bool):
-    """Run ``tail``'s transaction; return everything a fused run must
-    reproduce, and the hand-offs that transaction made."""
+    """Run ``tail``'s transaction :data:`FUSION_WARMUP` times, so the
+    entries on its path compile, then once more on a fresh Machine.
+    Return everything a fused run must reproduce of that last run, and
+    its hand-offs to the table loop and re-entries into fused code."""
     handoff = compile_source(HANDOFF_SOURCE, "Handoff")
     lib = compile_source(HANDOFF_SOURCE, "Lib")
-    chain = Chain(block_fusion=block_fusion)
+    chain = Chain(block_fusion=block_fusion, max_steps=20_000)
     chain.create_account(ALICE)
     chain.register_agent(REJECTER, RejectingAgent(), balance=0)
     chain.register_agent(BENIGN, BenignAgent(), balance=0)
@@ -618,17 +684,25 @@ def _hand_off(tail: str, block_fusion: bool):
         "delegatecall_write": ("run", [int.from_bytes(bump, "big")],
                                10_000_000, 0),
     }[tail]
-    before = fusion_stats()["runtime_bailouts"]
-    receipt = chain.apply(Transaction(
-        sender=ALICE, to=target, value=value, gas=gas,
-        data=encode_call(handoff.abi.function(name), args)))
-    handoffs = fusion_stats()["runtime_bailouts"] - before
+    data = encode_call(handoff.abi.function(name), args)
+    for _ in range(FUSION_WARMUP):
+        chain.apply(Transaction(sender=ALICE, to=target, value=value,
+                                gas=gas, data=data))
+    before = fusion_stats()
+    machine = Machine(chain.world, chain.block, chain.max_steps,
+                      event_mask=chain.event_mask, block_fusion=block_fusion)
+    result = machine.execute(Message(
+        address=target, caller=ALICE, origin=ALICE, value=value, data=data,
+        gas=gas, code=chain.world.get_code(target)))
+    after = fusion_stats()
     accounts = [chain.world.account(a) for a in (target, library)]
-    return (receipt.success, receipt.returndata, receipt.error,
-            _trace_tuple(receipt),
+    return (result.success, result.returndata, result.error,
+            result.gas_left, _trace_tuple(machine),
             [(a.storage, a.storage_shadow) for a in accounts],
             [chain.world.get_balance(a)
-             for a in (target, library, ALICE, REJECTER, BENIGN)]), handoffs
+             for a in (target, library, ALICE, REJECTER, BENIGN)]), \
+        after["runtime_bailouts"] - before["runtime_bailouts"], \
+        after["reentries"] - before["reentries"]
 
 
 class TestCompiledHandOff:
@@ -639,14 +713,17 @@ class TestCompiledHandOff:
         ("delegatecall_write", None),
     ])
     def test_hand_off_then_tail_matches_table(self, tail, error):
-        table, _ = _hand_off(tail, block_fusion=False)
-        fused, handoffs = _hand_off(tail, block_fusion=True)
-        assert handoffs >= 1
-        assert fused == table
-        success, _, got, _, storage, _ = table
+        table, _, _ = _hand_off(tail, block_fusion=False)
+        fused, handoffs, reentries = _hand_off(tail, block_fusion=True)
+        # the warm frame hands off at its CALL or DELEGATECALL block, and
+        # the table loop hands it back to compiled code at a later jump
+        assert handoffs >= 1 and reentries >= 1
+        assert fused == table  # result, gas, trace and steps, storage
+        success, _, got, _, _, storage, _ = table
         if error is None:
             assert success
-            assert storage[0][0][0] == 8  # Lib's +7, then the caller's +1
+            # Lib's +7, then the caller's +1, in each transaction
+            assert storage[0][0][0] == 8 * (FUSION_WARMUP + 1)
         else:
             assert not success
             assert got.startswith(error)
@@ -658,22 +735,34 @@ class TestCompiledHandOff:
 class TestTelemetry:
     def test_counters_flow_into_metrics_snapshot(self):
         from repro.telemetry import metrics
+        # B0 threads to a bailout-tier block (GAS) whose JUMP leads to a
+        # fused-tier entry at pc 10
         code = asm(push1(4), Op.JUMP, Op.INVALID,
-                   Op.JUMPDEST, Op.GAS, Op.POP, Op.STOP)
-        fused_program(code, 0)
-        run_code(code, block_fusion=True)
-        snap = metrics.snapshot()
-        counters = snap["counters"]
-        assert counters["fusion.programs_compiled"] >= 1
-        assert counters["fusion.blocks.fused"] >= 1
-        assert counters["fusion.blocks.bailout"] >= 1
+                   Op.JUMPDEST, Op.GAS, Op.POP, push1(10), Op.JUMP,
+                   Op.JUMPDEST, Op.STOP)
+        fused_program(code, EV_ALL)
+        for _ in range(FUSION_WARMUP):
+            run_code(code, block_fusion=True, precompile=False)
+        counters = metrics.snapshot()["counters"]
+        assert counters["fusion.programs_compiled"] == 1
+        assert counters["fusion.blocks.fused"] == 3  # INVALID's too
+        assert counters["fusion.blocks.bailout"] == 1
+        assert counters["fusion.fallback.gas_observing"] == 1
+        # both fused entries declined until their warm-up-th entry, and
+        # the table loop handed every frame back at pc 10
+        assert counters["fusion.warmup_declines"] == 2 * (FUSION_WARMUP - 1)
+        assert counters["fusion.reentries"] == FUSION_WARMUP
+        assert counters["fusion.entries_compiled"] == 2
         assert counters["fusion.threaded_jumps"] >= 1
-        assert counters["fusion.entries_compiled"] >= 1
-        assert counters["fusion.fallback.gas_observing"] >= 1
+        # only the compiled B0 handed off, at the bailout-tier block
+        assert counters["fusion.runtime_bailouts"] == 1
         assert counters["fusion.fused_steps"] >= 1
 
     def test_fused_steps_counts_executed_instructions(self):
-        fusion.clear_cache()
         code = asm(push1(2), push1(3), Op.ADD, Op.POP, Op.STOP)
-        run_code(code, block_fusion=True)
-        assert fusion_stats()["fused_steps"] == 5  # prepaid per block
+        for n in range(1, FUSION_WARMUP + 1):
+            run_code(code, block_fusion=True, precompile=False)
+            # cold runs execute on the table loop; the warm-up-th compiles
+            assert fusion_stats()["fused_steps"] == \
+                (5 if n == FUSION_WARMUP else 0)  # prepaid per block
+        assert fusion_stats()["warmup_declines"] == FUSION_WARMUP - 1

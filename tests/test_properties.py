@@ -426,9 +426,14 @@ def _compose_straight_line(steps) -> bytes:
 
 def _run_fusion_arm(code: bytes, mask: int, fused: bool):
     """Execute ``code`` via Machine._run so the final frame stack survives
-    for comparison (execute() would drop the frame)."""
+    for comparison (execute() would drop the frame).  The fused arm
+    compiles the whole program first, so it runs compiled closures from
+    the first entry instead of warming up on the table loop."""
+    from repro.evm.fusion import fused_program
     from repro.evm.machine import CallContext
 
+    if fused:
+        fused_program(code, mask).compile_all()
     world = WorldState()
     world.account(1)
     machine = Machine(world, BlockContext(), event_mask=mask,
