@@ -5,8 +5,9 @@ backends and the CLI share.  Entries are keyed on
 ``(sha256(source), contract)`` — content, not identity — so a contract
 fuzzed across many presets × trials compiles once per process instead of
 once per job.  The persistent pool backend relies on this: each long-lived
-worker keeps its cache warm across the jobs it pulls, and reports per-job
-hit/miss deltas back to the scheduler for the matrix-level stats.
+worker keeps its cache warm across its jobs, the scheduler hands a worker
+the jobs of contracts it has already run first, and workers report
+per-job hit/miss deltas back to the scheduler for the matrix-level stats.
 
 Compiled artifacts are treated as immutable by every consumer (the fuzzer,
 the analyses, the oracles), so handing the same :class:`CompiledContract`

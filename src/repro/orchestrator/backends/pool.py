@@ -1,14 +1,21 @@
 """The pool backend: persistent workers with warm compile caches.
 
-``workers`` long-lived child processes each pull jobs from the scheduler
-until the matrix is done, so interpreter boot and package import are paid
-once per worker instead of once per job, and each worker's process-local
-compile cache (:mod:`repro.compiler.cache`) means a contract fuzzed
-across presets × trials compiles once per worker instead of once per
-cell.
+``workers`` long-lived child processes each run jobs the scheduler hands
+them until the matrix is done, so interpreter boot and package import are
+paid once per worker instead of once per job.  Each worker keeps
+process-local caches keyed on the contract — the compile cache
+(:mod:`repro.compiler.cache`), and the surface, prefix and fusion caches
+built on its bytecode — so the scheduler dispatches by **contract
+affinity** (:class:`AffinityQueue`): a free worker takes the oldest
+pending job of a contract it has already run, otherwise the oldest
+pending job of a contract no live worker has run, otherwise it steals the
+oldest pending job.  A contract fuzzed across presets × trials is thus
+set up once per matrix, plus once per worker that steals one of its jobs.
 
 The scheduler dispatches exactly one job at a time to each worker over a
-per-worker queue, so it always knows which job a worker holds — the
+per-worker queue.  A worker whose result arrives is handed its next job
+before that result settles, so it runs while the parent saves the
+record.  The scheduler thus always knows which job a worker holds — the
 invariant behind the pool's guarantees:
 
 * **timeouts** — a worker overrunning the per-job wall-clock budget is
@@ -18,7 +25,8 @@ invariant behind the pool's guarantees:
   as ``error`` and is replaced; queued jobs are unaffected;
 * **recycling** — with ``recycle_after=K`` a worker is retired after
   completing K jobs and replaced fresh, bounding per-process memory
-  growth on long matrices (at the cost of a cold compile cache);
+  growth on long matrices (at the cost of a cold compile cache; a
+  retired worker's contracts count as run by no one);
   ``recycle_after=1`` runs every job in a fresh process, the strongest
   isolation on offer;
 * **boot-failure breaker** — once :data:`BOOT_DEATH_LIMIT` workers in a
@@ -38,7 +46,7 @@ from __future__ import annotations
 
 import itertools
 import time
-from collections import deque
+from collections import Counter, deque
 from dataclasses import dataclass, field
 
 from repro.orchestrator.backends.base import (
@@ -82,6 +90,63 @@ def _pool_worker_main(worker_key: int, dispatch_queue,
         results_queue.put(wire)
 
 
+class AffinityQueue:
+    """The pending jobs, kept per contract in job order, and the
+    contracts each live worker has run: the pool's dispatch rule.
+
+    A pick scans the contracts with pending jobs once, so it costs
+    O(contracts), not O(pending jobs)."""
+
+    def __init__(self, jobs) -> None:
+        #: contract key -> deque of (job index, job), oldest first; the
+        #: key is what the compile cache keys on
+        self._pending: dict = {}
+        for index, job in enumerate(jobs):
+            self._pending.setdefault((job.source, job.contract),
+                                     deque()).append((index, job))
+        self._size = len(jobs)
+        self._ran: dict = {}       # worker key -> contract keys it ran
+        self._owners = Counter()   # contract key -> live workers that ran it
+
+    def __len__(self) -> int:
+        return self._size
+
+    def pick(self, worker):
+        """Pop the job free worker ``worker`` runs next (some job must be
+        pending): the oldest pending job of a contract it has run, else
+        of a contract no live worker has run, else the oldest pending
+        job."""
+        ran = self._ran.setdefault(worker, set())
+
+        def rank(key) -> tuple:
+            tier = 0 if key in ran else 1 if not self._owners[key] else 2
+            return tier, self._pending[key][0][0]
+
+        key = min(self._pending, key=rank)
+        queue = self._pending[key]
+        _, job = queue.popleft()
+        if not queue:
+            del self._pending[key]
+        self._size -= 1
+        if key not in ran:
+            ran.add(key)
+            self._owners[key] += 1
+        return job
+
+    def retire(self, worker) -> None:
+        """A worker left the pool: its contracts are no longer run by it."""
+        for key in self._ran.pop(worker, ()):
+            self._owners[key] -= 1
+
+    def take_all(self) -> list:
+        """Pop every pending job, in job order."""
+        items = sorted((item for queue in self._pending.values()
+                        for item in queue), key=lambda item: item[0])
+        self._pending.clear()
+        self._size = 0
+        return [job for _, job in items]
+
+
 @dataclass
 class _PoolWorker:
     """Scheduler-side record of one live worker process."""
@@ -99,7 +164,7 @@ class PoolBackend(ExecutionBackend):
 
     def _run(self, jobs, progress) -> list:
         core = SchedulerCore(jobs, progress, on_heartbeat=self.heartbeat)
-        pending = deque(jobs)
+        pending = AffinityQueue(jobs)
         workers: dict = {}  # key -> _PoolWorker
         keys = itertools.count()
         boot_deaths = 0  # consecutive workers dead before finishing a job
@@ -118,12 +183,23 @@ class PoolBackend(ExecutionBackend):
             """Remove a worker: sentinel + join for idle workers, hard
             terminate for overrunning ones."""
             workers.pop(worker.key, None)
+            pending.retire(worker.key)
             if kill:
                 worker.proc.terminate()
             else:
                 worker.dispatch.put(None)
             worker.proc.join()
             worker.dispatch.close()
+
+        def assign(worker: _PoolWorker) -> None:
+            job = pending.pick(worker.key)
+            worker.job_id = job.job_id
+            worker.started = time.monotonic()
+            worker.dispatch.put(self.job_payload(job))
+
+        def quota_served(worker: _PoolWorker) -> bool:
+            return (self.recycle_after is not None
+                    and worker.jobs_done >= self.recycle_after)
 
         def on_wire(wire) -> None:
             nonlocal boot_deaths
@@ -136,6 +212,11 @@ class PoolBackend(ExecutionBackend):
                 worker.job_id = None
                 worker.jobs_done += 1
                 boot_deaths = 0
+                # hand the freed worker its next job now: settlement saves
+                # this result's record after the handler returns
+                if (pending and not quota_served(worker)
+                        and worker.proc.is_alive()):
+                    assign(worker)
 
         def bury(worker: _PoolWorker) -> None:
             """Drop a dead worker (terminate on a dead process is a
@@ -174,19 +255,16 @@ class PoolBackend(ExecutionBackend):
                 if boot_deaths >= BOOT_DEATH_LIMIT:
                     # workers cannot boot: fail what is left instead of
                     # respawning (jobs in flight still settle as usual)
-                    while pending:
-                        core.settle(JobOutcome(job=pending.popleft(),
-                                               status="error",
+                    for job in pending.take_all():
+                        core.settle(JobOutcome(job=job, status="error",
                                                error=BOOT_DEATH_ERROR))
 
                 # retire idle workers that served their recycling quota
                 # (the headcount below spawns fresh replacements)
-                if self.recycle_after is not None:
-                    for worker in [w for w in workers.values()
-                                   if w.job_id is None
-                                   and w.jobs_done >= self.recycle_after]:
-                        retire(worker)
-                        self.stats["workers_recycled"] += 1
+                for worker in [w for w in workers.values()
+                               if w.job_id is None and quota_served(w)]:
+                    retire(worker)
+                    self.stats["workers_recycled"] += 1
 
                 # headcount: enough workers for the remaining jobs, never
                 # more than the configured pool size
@@ -203,10 +281,7 @@ class PoolBackend(ExecutionBackend):
                     if not pending:
                         break
                     if worker.job_id is None and worker.proc.is_alive():
-                        job = pending.popleft()
-                        worker.job_id = job.job_id
-                        worker.started = time.monotonic()
-                        worker.dispatch.put(self.job_payload(job))
+                        assign(worker)
 
                 core.drain(block_for=SWEEP_INTERVAL, handler=on_wire)
                 sweep()

@@ -26,6 +26,8 @@ from repro.orchestrator import (
     run_matrix,
     summarize,
 )
+from repro.orchestrator.backends import PoolBackend
+from repro.orchestrator.backends.pool import AffinityQueue
 from repro.telemetry import log as tlog
 from tests.conftest import CROWDSALE_SOURCE, GAME_SOURCE
 
@@ -302,11 +304,13 @@ class TestBackends:
                         reason="wall-clock comparison: once per suite is "
                                "enough; skip in the CI worker sweep")
     def test_pool_amortizes_compilation_and_beats_fresh_workers(self):
-        """20 cells over 2 contracts: each pool worker compiles each
-        contract at most once (hits >= cells - contracts x workers), and
-        skipping per-job interpreter boot + import + compile makes the
-        warm pool measurably faster than a fresh process per job
-        (``recycle_after=1``) at the same worker count."""
+        """20 cells over 2 contracts: contract-affinity dispatch compiles
+        each contract once per matrix, plus once when the worker that
+        runs out of its own contract's jobs steals one of the other's
+        (misses <= contracts + 1), and skipping per-job interpreter boot
+        + import + compile makes the warm pool measurably faster than a
+        fresh process per job (``recycle_after=1``) at the same worker
+        count."""
         contracts = [("Crowdsale", CROWDSALE_SOURCE), ("Game", GAME_SOURCE)]
         kw = dict(presets=("mufuzz", "sfuzz"), trials=5, overrides=FAST,
                   workers=2, backend="pool")
@@ -314,11 +318,44 @@ class TestBackends:
         fresh = run_matrix(contracts, recycle_after=1, **kw)
         assert not warm.errors and not fresh.errors
         assert warm.executed == fresh.executed == 20
-        assert warm.stats.compile_cache_hits >= 20 - 2 * 2
-        assert warm.stats.compile_cache_misses <= 2 * 2
+        assert warm.stats.compile_cache_hits >= 20 - 3
+        assert warm.stats.compile_cache_misses <= 3
         assert fresh.stats.compile_cache_hits == 0  # always-cold caches
         assert warm.elapsed < fresh.elapsed, \
             f"warm {warm.elapsed:.2f}s vs fresh {fresh.elapsed:.2f}s"
+
+    def test_freed_worker_holds_its_next_job_before_the_save(
+            self, tmp_path, monkeypatch):
+        """A result's worker is handed its next job before settlement
+        saves the record, so it never waits on the parent's encode and
+        fsync: while jobs remain, every save finds both workers holding
+        one (dispatched >= saved + 2)."""
+        events = []
+        job_payload, save = PoolBackend.job_payload, ResultStore.save
+
+        def logged_payload(backend, job):
+            events.append("dispatch")
+            return job_payload(backend, job)
+
+        def logged_save(store, outcome):
+            events.append("save")
+            return save(store, outcome)
+
+        monkeypatch.setattr(PoolBackend, "job_payload", logged_payload)
+        monkeypatch.setattr(ResultStore, "save", logged_save)
+        contracts = [("Crowdsale", CROWDSALE_SOURCE), ("Game", GAME_SOURCE)]
+        run = run_matrix(contracts, presets=("mufuzz", "sfuzz"), trials=2,
+                         overrides=FAST, workers=2, backend="pool",
+                         results_dir=tmp_path)
+        assert not run.errors and run.executed == 8
+        assert events.count("dispatch") == events.count("save") == 8
+        dispatched = saved = 0
+        for event in events:
+            if event == "dispatch":
+                dispatched += 1
+                continue
+            saved += 1
+            assert dispatched >= min(8, saved + 2), events
 
     def test_pool_recycles_workers_after_quota(self):
         jobs = build_matrix([("Crowdsale", CROWDSALE_SOURCE)],
@@ -331,6 +368,28 @@ class TestBackends:
         # warmth for bounded per-process memory
         assert engine.stats["compile_cache_misses"] == 3
         assert engine.stats["compile_cache_hits"] == 3
+
+    def test_recycled_workers_contract_passes_to_its_replacement(
+            self, monkeypatch):
+        """A recycled worker's contracts count as run by no one, so its
+        fresh replacement resumes the oldest pending contract instead of
+        treating it as another live worker's: with one worker, jobs are
+        handed out in job order across every incarnation."""
+        handed = []
+        job_payload = PoolBackend.job_payload
+
+        def logged_payload(backend, job):
+            handed.append(job.job_id)
+            return job_payload(backend, job)
+
+        monkeypatch.setattr(PoolBackend, "job_payload", logged_payload)
+        jobs = build_matrix(
+            [("Crowdsale", CROWDSALE_SOURCE), ("Game", GAME_SOURCE)],
+            presets=("mufuzz",), trials=3, overrides=FAST)
+        engine = create_backend("pool", workers=1, recycle_after=2)
+        assert all(o.ok for o in engine.run(jobs))
+        assert engine.stats["workers_recycled"] == 2
+        assert handed == [job.job_id for job in jobs]
 
     def test_pool_timeout_kills_worker_and_queue_continues(self):
         hang = _job(name="Hang", overrides={"iterations": 50_000_000})
@@ -430,6 +489,50 @@ class TestPerfLayerSwitch:
                   "use_state_cache": False, "use_surface_pruning": True,
                   "use_block_fusion": True}
         assert config_from_dict(stored) == mufuzz_config(rng_seed=4)
+
+
+class TestAffinityQueue:
+    """The pool's dispatch rule, without processes: a free worker takes
+    the oldest pending job of a contract it has run, else of a contract
+    no live worker has run, else it steals the oldest pending job."""
+
+    @staticmethod
+    def _jobs(*names) -> list:
+        """One job per name; the letter is the contract (its source), so
+        ``"A1"`` is contract A's job 1."""
+        return [_job(name=name, source=f"contract {name[0]} {{}}")
+                for name in names]
+
+    @staticmethod
+    def _picks(queue, *workers) -> list:
+        return [queue.pick(worker).name for worker in workers]
+
+    def test_own_contract_then_oldest_unowned_then_steal(self):
+        queue = AffinityQueue(self._jobs("A0", "A1", "A2", "B0", "B1", "C0"))
+        assert self._picks(queue, 0, 1) == ["A0", "B0"]
+        assert self._picks(queue, 0, 0) == ["A1", "A2"]
+        # A is done and B is worker 1's: C is the one nobody has run
+        assert self._picks(queue, 0) == ["C0"]
+        # nothing of its own or unowned is left: steal the oldest job
+        assert self._picks(queue, 0) == ["B1"]
+        assert len(queue) == 0
+
+    def test_job_order_is_kept_within_a_contract(self):
+        queue = AffinityQueue(self._jobs("A0", "B0", "A1", "B1", "A2", "B2"))
+        assert self._picks(queue, 0, 1, 1, 0) == ["A0", "B0", "B1", "A1"]
+        assert len(queue) == 2
+        assert [job.name for job in queue.take_all()] == ["A2", "B2"]
+        assert len(queue) == 0
+
+    def test_a_retired_workers_contracts_become_unowned(self):
+        jobs = self._jobs("A0", "A1", "B0", "C0")
+        kept, retired = AffinityQueue(jobs), AffinityQueue(jobs)
+        for queue in (kept, retired):
+            assert self._picks(queue, 0, 1) == ["A0", "B0"]
+        retired.retire(0)
+        # A is older than C: a newcomer takes it once its runner left
+        assert self._picks(kept, 2) == ["C0"]
+        assert self._picks(retired, 2) == ["A1"]
 
 
 class TestParallelExecution:
