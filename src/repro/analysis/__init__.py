@@ -11,13 +11,18 @@
 * :mod:`repro.analysis.surface` — the per-contract
   :class:`~repro.analysis.surface.VulnerabilitySurface`: sound
   opcode-absence liveness proofs per bug class (the oracle-pruning gate),
-  per-selector storage slot sets (the bytecode-level dataflow used when
-  source is absent), and the mutation dictionary; cached process-wide per
-  sha256(code).
+  per-selector storage slot sets (the bytecode-level counterpart of the
+  AST dataflow), and the mutation dictionary.
 * :mod:`repro.analysis.prefix` — lightweight path-prefix reachability of
   vulnerable instructions (§IV-C, Algorithm 3 support), fast-pathed by the
   surface's whole-code opcode facts.
 * :mod:`repro.analysis.distance` — branch-distance aggregation helpers.
+
+A code's CFG, linear disassembly and surface are derived once per
+process, on its :class:`~repro.evm.analysis.CodeAnalysis` record (the one
+per-code cache): ``analyze_code(code).cfg`` and :func:`surface_for`.
+:func:`build_cfg` stays the uncached builder, and :func:`compute_surface`
+recomputes the surface facts over the record's CFG.
 
 Division of labour between the last two analysis layers: *absint facts are
 heuristic guidance* (a missed fact costs throughput), while *surface
@@ -36,7 +41,6 @@ from repro.analysis.dataflow import (
 from repro.analysis.absint import AbstractFacts, AbsState, interpret
 from repro.analysis.surface import (
     SelectorFacts,
-    SurfaceDataflow,
     VulnerabilitySurface,
     compute_surface,
     surface_for,
@@ -58,7 +62,6 @@ __all__ = [
     "AbsState",
     "interpret",
     "SelectorFacts",
-    "SurfaceDataflow",
     "VulnerabilitySurface",
     "compute_surface",
     "surface_for",

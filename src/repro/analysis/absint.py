@@ -1,9 +1,8 @@
 """Stack-symbolic abstract interpretation over EVM bytecode.
 
-A small constant/taint lattice evaluated per basic block over the existing
-:func:`~repro.analysis.disassembler.disassemble` /
-:func:`~repro.analysis.cfg.build_cfg` output.  Abstract values are plain
-tuples:
+A small constant/taint lattice evaluated per basic block over a
+:class:`~repro.analysis.cfg.CFG` and the linear disassembly it carries.
+Abstract values are plain tuples:
 
 * ``("const", v)`` — the exact 256-bit constant ``v`` (PUSH immediates and
   anything folded from them),
@@ -36,8 +35,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.analysis.cfg import CFG, build_cfg
-from repro.analysis.disassembler import disassemble
+from repro.analysis.cfg import CFG
 from repro.evm.opcodes import OPCODE_INFO, Op, is_dup, is_push, is_swap
 
 _U256 = (1 << 256) - 1
@@ -162,13 +160,10 @@ class AbstractFacts:
         self.candidates.setdefault(bug_class, set()).add(pc)
 
 
-def interpret(code: bytes, cfg: CFG | None = None) -> AbstractFacts:
-    """Run the abstract interpreter over ``code`` and return its facts."""
-    instructions = disassemble(code)
-    if cfg is None:
-        cfg = build_cfg(code)
+def interpret(cfg: CFG) -> AbstractFacts:
+    """Run the abstract interpreter over ``cfg`` and return its facts."""
     facts = AbstractFacts()
-    for ins in instructions:
+    for ins in cfg.instructions:
         if ins.operand is not None:
             facts.push_constants[ins.pc] = ins.operand
     if not cfg.blocks:

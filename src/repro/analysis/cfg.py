@@ -45,6 +45,8 @@ class CFG:
     """Basic blocks keyed by start pc."""
 
     blocks: dict = field(default_factory=dict)
+    #: the linear disassembly the blocks were carved from
+    instructions: list = field(default_factory=list, repr=False)
     #: sorted block starts for bisect lookup (rebuilt lazily when the block
     #: map grows — ``build_cfg`` mutates ``blocks`` while carving)
     _starts: list = field(default_factory=list, repr=False)
@@ -128,7 +130,8 @@ class CFG:
 
 
 def build_cfg(code: bytes) -> CFG:
-    """Build the CFG of ``code``."""
+    """Build the CFG of ``code`` (the shared, cached one is
+    ``repro.evm.analysis.analyze_code(code).cfg``)."""
     instructions = disassemble(code)
     if not instructions:
         return CFG()
@@ -145,7 +148,7 @@ def build_cfg(code: bytes) -> CFG:
         prev = ins
 
     # -- carve blocks ----------------------------------------------------------
-    cfg = CFG()
+    cfg = CFG(instructions=instructions)
     current: BasicBlock | None = None
     for ins in instructions:
         if ins.pc in leaders or current is None:

@@ -19,7 +19,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.analysis.cfg import CFG, build_cfg
+from repro.analysis.cfg import CFG
+from repro.evm.analysis import analyze_code
 from repro.evm.opcodes import Op
 
 #: Instructions the paper treats as potentially vulnerable (§IV-C mentions
@@ -48,19 +49,19 @@ _NO_REACH = BranchReachability(taken=frozenset(), fallthrough=frozenset())
 class PrefixAnalyzer:
     """Per-contract cache of CFG reachability used by the energy scheduler.
 
-    When a :class:`~repro.analysis.surface.VulnerabilitySurface` of
-    ``runtime_code`` is supplied, the analyzer uses the CFG cached with
-    it, so every campaign over one code shares that CFG and the
-    reachability fixpoint memoized on it.  Two of the surface's
-    whole-code facts also short-circuit the per-branch work: if no
-    vulnerable opcode exists anywhere in the code, every reachability
-    query is the empty set without touching the CFG; and per-bug-class
-    candidate pcs become queryable via :meth:`candidate_pcs`.
+    The analyzer reads the CFG of ``runtime_code``'s
+    :class:`~repro.evm.analysis.CodeAnalysis` record, so every campaign
+    over one code shares that CFG and the reachability fixpoint memoized
+    on it.  When a :class:`~repro.analysis.surface.VulnerabilitySurface`
+    is supplied, two of its whole-code facts also short-circuit the
+    per-branch work: if no vulnerable opcode exists anywhere in the code,
+    every reachability query is the empty set without touching the CFG;
+    and per-bug-class candidate pcs become queryable via
+    :meth:`candidate_pcs`.
     """
 
     def __init__(self, runtime_code: bytes, surface=None) -> None:
-        cfg = surface.cfg if surface is not None else None
-        self.cfg: CFG = cfg if cfg is not None else build_cfg(runtime_code)
+        self.cfg: CFG = analyze_code(runtime_code).cfg
         self.surface = surface
         self._cache: dict[int, BranchReachability] = {}
         #: whole-code absence proof: reachable ⊆ present, so an empty

@@ -7,8 +7,8 @@ abstract-interpretation pass (:mod:`repro.analysis.absint`) into a
 * **liveness** — which of the nine bug classes can possibly fire in this
   bytecode, with a human-readable proof for every ``dead`` verdict,
 * **per-selector storage facts** — read/write/branch-read slot sets per
-  external function, the bytecode-level replacement for the AST dataflow
-  when source is absent (:class:`SurfaceDataflow`),
+  external function, the bytecode-level counterpart of the AST dataflow
+  (printed by ``repro analyze``),
 * **mutation dictionary** — PUSH immediates plus constants the code
   compares against tainted (input-derived) values,
 * **candidate pcs** — per bug class, the program points an oracle for that
@@ -29,20 +29,19 @@ address.  The one deliberate asymmetry: when DELEGATECALL is present,
 foreign code can run under this contract's address, so every verdict except
 UD/EF (whose proofs don't depend on what a delegate does) is forced live.
 
-Surfaces are cached process-wide per sha256(code), beside (and shaped
-like) :mod:`repro.evm.analysis`'s code-analysis LRU.
+:func:`surface_for` computes a surface once per code, into the code's
+:class:`~repro.evm.analysis.CodeAnalysis` record, from the CFG and
+linear disassembly that record holds.
 """
 
 from __future__ import annotations
 
-import hashlib
 import time
-from collections import OrderedDict
 from dataclasses import dataclass, field
 
 from repro.analysis.absint import AbstractFacts, interpret
-from repro.analysis.cfg import CFG, build_cfg
-from repro.analysis.disassembler import disassemble
+from repro.analysis.cfg import CFG
+from repro.evm.analysis import analyze_code
 from repro.evm.opcodes import Op, mnemonic
 from repro.telemetry import metrics as _metrics
 
@@ -54,7 +53,7 @@ BUG_CLASS_CODES = ("BD", "UD", "EF", "IO", "RE", "US", "SE", "TO", "UE")
 _BLOCK_OPS = frozenset({Op.TIMESTAMP, Op.NUMBER, Op.COINBASE,
                         Op.DIFFICULTY, Op.GASLIMIT, Op.BLOCKHASH})
 #: opcodes that can move ether out of the contract (EF's escape hatches)
-_SEND_OPS = frozenset({Op.CALL, Op.DELEGATECALL, Op.SELFDESTRUCT})
+SEND_OPS = frozenset({Op.CALL, Op.DELEGATECALL, Op.SELFDESTRUCT})
 #: wrapping-arithmetic opcodes the overflow oracle observes
 _ARITH_OPS = frozenset({Op.ADD, Op.SUB, Op.MUL})
 
@@ -113,10 +112,6 @@ class VulnerabilitySurface:
     #: analysis wall time (diagnostic only — excluded from to_dict so the
     #: serialized report stays deterministic)
     analysis_seconds: float = field(default=0.0, compare=False)
-    #: the CFG the facts came from, kept for the prefix analyzer: cached
-    #: with the surface, so the campaigns over one code share it (and the
-    #: reachability fixpoint memoized on it); not part of to_dict
-    cfg: CFG | None = field(default=None, compare=False, repr=False)
 
     def dead_set(self) -> frozenset:
         """The proved-impossible classes as a frozenset of codes."""
@@ -158,7 +153,7 @@ def _liveness_proofs(ops: frozenset) -> dict:
     delegates = Op.DELEGATECALL in ops
     if not delegates:
         proofs["UD"] = "no DELEGATECALL in code"
-    sends = sorted(mnemonic(op) for op in (ops & _SEND_OPS))
+    sends = sorted(mnemonic(op) for op in (ops & SEND_OPS))
     if sends:
         proofs["EF"] = (f"ether can leave via {'/'.join(sends)} — "
                         "freeze requires a contract with no send opcode")
@@ -232,13 +227,13 @@ def _selector_facts(cfg: CFG, facts: AbstractFacts) -> dict:
 
 
 def compute_surface(code: bytes) -> VulnerabilitySurface:
-    """Analyze ``code`` from scratch (use :func:`surface_for` for the
-    cached entry point)."""
+    """Analyze ``code`` over its record's CFG (use :func:`surface_for`,
+    which computes the surface once per code)."""
     started = time.perf_counter()
-    instructions = disassemble(code)
+    cfg = analyze_code(code).cfg
+    instructions = cfg.instructions
     ops = frozenset(ins.opcode for ins in instructions)
-    cfg = build_cfg(code)
-    facts = interpret(code, cfg)
+    facts = interpret(cfg)
 
     proofs = _liveness_proofs(ops)
     dead = tuple(c for c in BUG_CLASS_CODES if c in proofs)
@@ -272,164 +267,32 @@ def compute_surface(code: bytes) -> VulnerabilitySurface:
         read_slots=tuple(sorted(read_slots)),
         write_slots=tuple(sorted(write_slots)),
         analysis_seconds=time.perf_counter() - started,
-        cfg=cfg,
     )
 
 
-# -- process-level surface cache (same shape as evm.analysis's LRU) ------------
-
-#: one campaign analyzes one contract, but long-lived pool workers fuzz
-#: many back to back; sized like the code-analysis cache
-CACHE_CAPACITY = 128
-
-_cache: OrderedDict[bytes, VulnerabilitySurface] = OrderedDict()
-#: identity fast path — code bytes live in stable objects
-#: (``artifact.runtime_code``), and the memo entry pins the id by holding
-#: the bytes
-_id_memo: dict[int, tuple] = {}
-_ID_MEMO_CAPACITY = 64
-_hits = 0
-_misses = 0
+#: surface analysis seconds, summed over the surfaces computed
 _seconds = 0.0
 
 
 def surface_for(code: bytes) -> VulnerabilitySurface:
-    """The (cached) vulnerability surface of ``code``."""
-    global _hits, _misses, _seconds
-    memo = _id_memo.get(id(code))
-    if memo is not None and memo[0] is code:
-        _hits += 1
-        return memo[1]
-    key = hashlib.sha256(code).digest()
-    entry = _cache.get(key)
-    if entry is not None:
-        _hits += 1
-        _cache.move_to_end(key)
-    else:
-        _misses += 1
-        entry = compute_surface(code)
-        _seconds += entry.analysis_seconds
-        _cache[key] = entry
-        while len(_cache) > CACHE_CAPACITY:
-            _cache.popitem(last=False)
-    if len(_id_memo) >= _ID_MEMO_CAPACITY:
-        _id_memo.clear()
-    _id_memo[id(code)] = (code, entry)
-    return entry
+    """The vulnerability surface of ``code``, computed once into its
+    :class:`~repro.evm.analysis.CodeAnalysis` record."""
+    global _seconds
+    record = analyze_code(code)
+    surface = record.surface
+    if surface is None:
+        surface = record.surface = compute_surface(code)
+        _seconds += surface.analysis_seconds
+    return surface
 
 
-def cache_stats() -> dict:
-    """Hit/miss counters and current size (tests and benches)."""
-    return {"hits": _hits, "misses": _misses, "entries": len(_cache),
-            "seconds": _seconds}
-
-
-def clear_cache() -> None:
-    """Drop every cached surface and reset the counters."""
-    global _hits, _misses, _seconds
-    _cache.clear()
-    _id_memo.clear()
-    _hits = 0
-    _misses = 0
-    _seconds = 0.0
-
-
-#: telemetry mirrors, filled at snapshot time from the module counters
-#: (surface_for is called once per campaign — cheap — but the collector
-#: idiom keeps the disabled path free and matches evm.analysis)
-_T_HITS = _metrics.counter("analysis.surface_cache.hits")
-_T_MISSES = _metrics.counter("analysis.surface_cache.misses")
+#: telemetry mirror, filled at snapshot time from the module total (the
+#: collector idiom keeps the disabled path free and matches evm.analysis)
 _T_SECONDS = _metrics.gauge("analysis.surface.seconds_total")
 
 
-def _collect_surface_counters() -> None:
-    _T_HITS.set_total(_hits)
-    _T_MISSES.set_total(_misses)
+def _collect_surface_seconds() -> None:
     _T_SECONDS.set_value(_seconds)
 
 
-_metrics.register_collector(_collect_surface_counters)
-
-
-# -- bytecode-level dataflow adapter -------------------------------------------
-
-
-class SurfaceDataflow:
-    """Drop-in replacement for
-    :class:`~repro.analysis.dataflow.ContractDataflow` built from bytecode
-    facts alone — the path the sequence generator takes when no MiniSol
-    source (and hence no AST) is available.
-
-    Storage slots stand in for state-variable names (``"slot0"``, ...);
-    function names come from the ABI, matched to dispatcher entries by
-    selector.  Write-before-read ordering, RAW-repeat candidates, and
-    branch-read sets all carry over with the same semantics the AST
-    analysis provides, just at slot rather than variable granularity.
-    """
-
-    def __init__(self, surface: VulnerabilitySurface, abi) -> None:
-        from repro.analysis.dataflow import FunctionDataflow
-
-        self.surface = surface
-        self.abi = abi
-        self._externals: list[str] = []
-        self.functions: dict[str, FunctionDataflow] = {}
-        for fn in abi.functions:
-            facts = surface.selectors.get(fn.selector)
-            self._externals.append(fn.name)
-            if facts is None:
-                self.functions[fn.name] = FunctionDataflow(name=fn.name)
-                continue
-            self.functions[fn.name] = FunctionDataflow(
-                name=fn.name,
-                reads={_slot_name(s) for s in facts.reads},
-                writes={_slot_name(s) for s in facts.writes},
-                branch_reads={_slot_name(s) for s in facts.branch_reads},
-                raw_self_deps={_slot_name(s) for s in facts.self_deps},
-            )
-
-    @property
-    def state_vars(self) -> list:
-        slots = set(self.surface.read_slots) | set(self.surface.write_slots)
-        return [_slot_name(s) for s in sorted(slots)]
-
-    @property
-    def branch_read_vars(self) -> set:
-        out: set = set()
-        for df in self.functions.values():
-            out |= df.branch_reads
-        return out
-
-    def external_names(self) -> list:
-        """External function names in ABI (declaration) order."""
-        return list(self._externals)
-
-    def of(self, name: str):
-        return self.functions[name]
-
-    def write_read_edges(self) -> list:
-        """(writer, reader, slot) triples over external functions."""
-        edges = []
-        for writer in self._externals:
-            for reader in self._externals:
-                if writer == reader:
-                    continue
-                shared = (self.functions[writer].writes
-                          & self.functions[reader].reads)
-                for var in sorted(shared):
-                    edges.append((writer, reader, var))
-        return edges
-
-    def repeat_candidates(self) -> set:
-        """Functions with a RAW self-dependency on a branch-read slot."""
-        branch_vars = self.branch_read_vars
-        return {name for name in self._externals
-                if self.functions[name].raw_self_deps & branch_vars}
-
-    def stateful_functions(self) -> list:
-        return [name for name in self._externals
-                if self.functions[name].touches_state]
-
-
-def _slot_name(slot: int) -> str:
-    return f"slot{slot}"
+_metrics.register_collector(_collect_surface_seconds)

@@ -15,8 +15,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.analysis.cfg import CFG, build_cfg
 from repro.analysis.surface import surface_for
+from repro.evm.analysis import analyze_code
 from repro.evm.opcodes import Op
 from repro.lang import ast_nodes as ast
 from repro.oracles.base import BugClass
@@ -89,7 +89,7 @@ class StaticAnalyzer:
         """Yield opcode-sequence paths (lists of Instruction) via bounded
         DFS from the entry block.  Raises :class:`_AnalysisTimeout` when the
         path budget is exhausted — the tool's documented failure mode."""
-        cfg = build_cfg(code)
+        cfg = analyze_code(code).cfg
         if not cfg.blocks:
             return
         entry = min(cfg.blocks)

@@ -31,6 +31,7 @@ from repro.analysis.disassembler import format_disassembly
 from repro.baselines import STATIC_ANALYZERS
 from repro.compiler import compile_cached
 from repro.core import PRESET_CONFIGS, Fuzzer
+from repro.lang.errors import MiniSolError
 from repro.reporting import format_percentage_bars, format_table
 from repro.telemetry import log
 
@@ -266,10 +267,27 @@ def _layer_settings(args) -> tuple:
     return disable, overrides
 
 
+class _InputError(Exception):
+    """A FILE argument that cannot be read or compiled; :func:`main`
+    reports it as one ``error:`` line and exits 2."""
+
+
+def _read(path: str) -> str:
+    try:
+        with open(path) as handle:
+            return handle.read()
+    except OSError as exc:
+        raise _InputError(f"{path}: {exc.strerror or exc}") from None
+
+
 def _load(args) -> object:
-    with open(args.file) as handle:
-        source = handle.read()
-    return compile_cached(source, args.contract)
+    source = _read(args.file)
+    try:
+        return compile_cached(source, args.contract)
+    except MiniSolError as exc:
+        raise _InputError(f"{args.file}: {exc}") from None
+    except KeyError as exc:  # --contract names no contract in the file
+        raise _InputError(f"{args.file}: {exc.args[0]}") from None
 
 
 def _resolve_iterations(args, default_iterations: int) -> int | None:
@@ -439,8 +457,9 @@ def _campaign_contracts(args) -> list:
         contracts = []
         used: set = set()
         for path in args.files:
-            with open(path) as handle:
-                source = handle.read()
+            # read here, compiled per job: a file that does not compile
+            # fails its own jobs with an ``error`` row
+            source = _read(path)
             base = os.path.splitext(os.path.basename(path))[0]
             # files may share a basename; job names must be unique
             name, suffix = base, 1
@@ -862,25 +881,21 @@ def cmd_analyze(args) -> int:
                 or "none"))
     log.info(f"call sites: {len(surface.calls)}")
 
-    if artifact.contract_ast is not None:
-        log.info("")
-        dataflow = analyze_contract(artifact.contract_ast)
-        rows = []
-        for fn_name, df in dataflow.functions.items():
-            rows.append([fn_name,
-                         ",".join(sorted(df.reads)) or "-",
-                         ",".join(sorted(df.writes)) or "-",
-                         ",".join(sorted(df.branch_reads)) or "-",
-                         ",".join(sorted(df.raw_self_deps)) or "-"])
-        log.info(format_table(
-            ["function", "reads", "writes", "branch reads",
-             "RAW self-deps"],
-            rows, title=f"source-level data-flow analysis of "
-                        f"{artifact.name}"))
-        log.info("")
-        log.info(f"write→read edges: {dataflow.write_read_edges()}")
-        log.info(f"repeat candidates: "
-                 f"{sorted(dataflow.repeat_candidates())}")
+    log.info("")
+    dataflow = analyze_contract(artifact.contract_ast)
+    rows = []
+    for fn_name, df in dataflow.functions.items():
+        rows.append([fn_name,
+                     ",".join(sorted(df.reads)) or "-",
+                     ",".join(sorted(df.writes)) or "-",
+                     ",".join(sorted(df.branch_reads)) or "-",
+                     ",".join(sorted(df.raw_self_deps)) or "-"])
+    log.info(format_table(
+        ["function", "reads", "writes", "branch reads", "RAW self-deps"],
+        rows, title=f"source-level data-flow analysis of {artifact.name}"))
+    log.info("")
+    log.info(f"write→read edges: {dataflow.write_read_edges()}")
+    log.info(f"repeat candidates: {sorted(dataflow.repeat_candidates())}")
     return 0
 
 
@@ -946,7 +961,11 @@ def main(argv=None) -> int:
         log.configure()
         log.error(f"error: {exc}")
         return 2
-    return _COMMANDS[args.command](args)
+    try:
+        return _COMMANDS[args.command](args)
+    except _InputError as exc:
+        log.error(f"error: {exc}")
+        return 2
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -36,7 +36,7 @@ from time import perf_counter as _perf_counter
 
 from repro import layers
 from repro.analysis.dataflow import analyze_contract
-from repro.analysis.surface import SurfaceDataflow, surface_for
+from repro.analysis.surface import surface_for
 from repro.analysis.distance import distances_from_trace
 from repro.analysis.prefix import PrefixAnalyzer
 from repro.chain.agents import BenignAgent, ReentrantAgent, RejectingAgent
@@ -139,17 +139,13 @@ class Fuzzer:
         self.disabled_layers = layers.resolve(disable)
         self.rng = random.Random(self.config.rng_seed)
         self.budget = Budget.from_config(self.config)
-        #: the static vulnerability surface (process-cached per bytecode):
+        #: the static vulnerability surface (computed once per bytecode):
         #: liveness proofs gate oracle pruning, the constant harvest feeds
         #: the mutation dictionary, and candidate pcs feed the prefix
         #: analyzer — the facts are computed whether or not pruning is on,
         #: so the ``surface_pruning`` layer toggles *only* the oracle drop
         self.surface = surface_for(artifact.runtime_code)
-        if artifact.contract_ast is not None:
-            self.dataflow = analyze_contract(artifact.contract_ast)
-        else:
-            # source-absent path: bytecode-level per-selector slot facts
-            self.dataflow = SurfaceDataflow(self.surface, artifact.abi)
+        self.dataflow = analyze_contract(artifact.contract_ast)
         self.prefix = PrefixAnalyzer(artifact.runtime_code,
                                      surface=self.surface)
         self.seqgen = SequenceGenerator(
@@ -256,13 +252,6 @@ class Fuzzer:
         # journal-based reset point: iterations restore the deployed state
         # in O(touched slots) instead of deep-copying the world every round
         chain.mark_base()
-
-    def _harvest_constants(self) -> tuple:
-        """The mutation dictionary: wide PUSH immediates plus constants the
-        code compares against input-derived values (how real fuzzers cross
-        magic-value guards).  Harvested by the vulnerability surface —
-        see :func:`repro.analysis.surface.compute_surface`."""
-        return self.surface.dictionary_constants
 
     # -- seed construction ----------------------------------------------------------
 

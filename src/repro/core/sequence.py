@@ -24,7 +24,7 @@ from repro.lang import ast_nodes as ast
 class SequenceGenerator:
     """Produces and mutates function-name sequences for one contract."""
 
-    def __init__(self, contract: ast.ContractDef | None,
+    def __init__(self, contract: ast.ContractDef,
                  dataflow: ContractDataflow, rng: random.Random,
                  strategy: str, max_length: int = 8) -> None:
         self.contract = contract
@@ -36,12 +36,7 @@ class SequenceGenerator:
         # the *order* (state-less functions have no dependency edges, so the
         # paper's "ignore functions without state variables" rule applies to
         # the ordering analysis, not to whether a function is exercised).
-        # Without an AST (source-absent contracts) the function list comes
-        # from the dataflow adapter (SurfaceDataflow over the ABI).
-        if contract is not None:
-            self._stateful = [fn.name for fn in contract.external_functions]
-        else:
-            self._stateful = list(dataflow.external_names())
+        self._stateful = [fn.name for fn in contract.external_functions]
         self._repeat_candidates = dataflow.repeat_candidates()
 
     # -- base sequences ----------------------------------------------------------

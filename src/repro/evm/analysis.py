@@ -1,4 +1,4 @@
-"""Shared per-code analysis: jumpdest sets + a predecoded instruction stream.
+"""One analysis record per bytecode, shared by everything that reads it.
 
 The fuzzing loop builds a fresh :class:`~repro.evm.machine.Machine` for
 every transaction (`chain.Chain.apply`), so any per-instance cache of code
@@ -6,6 +6,8 @@ analysis is cold on every transaction of every iteration.  This module
 hoists that work to a *process-level* LRU cache keyed on ``sha256(code)``:
 one contract's bytecode is scanned exactly once per worker process, no
 matter how many Machines, transactions, or campaign iterations execute it.
+It is the only per-code cache: the other per-code facts hang off the same
+record, so they are derived once per code and evicted with it.
 
 ``analyze_code`` returns a :class:`CodeAnalysis` with
 
@@ -28,6 +30,19 @@ matter how many Machines, transactions, or campaign iterations execute it.
   ``KIND_STOP``         --                         --
   ``KIND_SIMPLE``       handler function           next pc
   ====================  =========================  ======================
+
+* ``cfg`` — the :class:`~repro.analysis.cfg.CFG`, built on first use,
+  with the linear disassembly it was carved from (``cfg.instructions``):
+  the surface, the abstract interpreter, the prefix analyzer, block
+  fusion's tier classification and the static-analyzer baselines all
+  read this one CFG;
+* ``surface`` — the vulnerability surface, filled in by
+  :func:`repro.analysis.surface.surface_for`;
+* ``programs`` — the fused programs, one per event mask, filled in by
+  :func:`repro.evm.fusion.fused_program`.
+
+The dispatch table is decoded eagerly by its own tight loop: every frame
+needs it, with block fusion off and with no surface too.
 
 PUSH immediates that run past end-of-code decode as right-zero-padded
 values (EVM spec), matching :mod:`repro.analysis.disassembler`.
@@ -72,27 +87,39 @@ CACHE_CAPACITY = 256
 
 
 class CodeAnalysis:
-    """Immutable per-bytecode analysis shared by every Machine."""
+    """Everything derived from one bytecode (see the module docstring)."""
 
-    __slots__ = ("jumpdests", "decoded", "code_len")
+    __slots__ = ("code", "jumpdests", "decoded", "code_len", "_cfg",
+                 "surface", "programs")
 
-    def __init__(self, jumpdests: frozenset, decoded: list,
-                 code_len: int) -> None:
+    def __init__(self, code: bytes, jumpdests: frozenset,
+                 decoded: list) -> None:
+        self.code = code
         self.jumpdests = jumpdests
         self.decoded = decoded
-        self.code_len = code_len
+        self.code_len = len(code)
+        self._cfg = None
+        #: the VulnerabilitySurface, once surface_for computed it
+        self.surface = None
+        #: event mask -> FusedProgram, filled in by fused_program
+        self.programs: dict = {}
+
+    @property
+    def cfg(self):
+        """The CFG of ``code``, built on first use."""
+        cfg = self._cfg
+        if cfg is None:
+            # imported here: the analysis package imports this module
+            from repro.analysis.cfg import build_cfg
+            cfg = self._cfg = build_cfg(self.code)
+        return cfg
 
 
 _cache: OrderedDict[bytes, CodeAnalysis] = OrderedDict()
 #: identity fast path over the sha256 cache: code bytes live in stable
 #: objects (``Account.code`` / ``artifact.runtime_code``), so ``id(code)``
 #: is a safe memo key *while the entry holds a strong reference to the
-#: bytes* (which pins the id).  Skips one sha256 per frame.  A bare
-#: ``id(code)`` key is only sound because :class:`CodeAnalysis` is
-#: mask-independent; any layer that specializes per event mask must key
-#: its memo on ``(id(code), mask)`` — see the fused-program memo in
-#: :mod:`repro.evm.fusion`, where two configs sharing one worker process
-#: would otherwise cross-contaminate.
+#: bytes* (which pins the id).  Skips one sha256 per frame.
 _id_memo: dict[int, tuple] = {}
 _ID_MEMO_CAPACITY = 64
 _hits = 0
@@ -145,7 +172,7 @@ def _analyze(code: bytes) -> CodeAnalysis:
                 handler = make_unhandled(op)
             decoded[i] = (KIND_SIMPLE, gas, handler, i + 1)
         i += 1
-    return CodeAnalysis(frozenset(dests), decoded, n)
+    return CodeAnalysis(code, frozenset(dests), decoded)
 
 
 def analyze_code(code: bytes) -> CodeAnalysis:
@@ -177,12 +204,9 @@ def cache_stats() -> dict:
     return {"hits": _hits, "misses": _misses, "entries": len(_cache)}
 
 
-#: heartbeat-facing name (see :func:`repro.telemetry.progress.snapshot_of`)
-analysis_cache_stats = cache_stats
-
-
 def clear_cache() -> None:
-    """Drop every cached analysis and reset the counters."""
+    """Drop every record (and the surfaces and fused programs on it) and
+    reset the counters."""
     global _hits, _misses
     _cache.clear()
     _id_memo.clear()

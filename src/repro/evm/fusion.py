@@ -3,9 +3,9 @@
 The table loop in :mod:`repro.evm.machine` still pays a Python-level loop
 iteration, step-budget check, gas decrement, and kind dispatch for *every*
 opcode.  This module amortizes that overhead across straight-line regions:
-it walks the :func:`repro.analysis.cfg.build_cfg` blocks of a bytecode and
-compiles each basic block a frame enters into **one** specialized Python
-closure:
+it walks the blocks of a bytecode's CFG (the one its
+:class:`~repro.evm.analysis.CodeAnalysis` record holds) and compiles each
+basic block a frame enters into **one** specialized Python closure:
 
 * per-block gas is precomputed and charged as a single constant
   subtraction (every opcode cost is static except the CALL family, which
@@ -109,23 +109,20 @@ closures sync ``machine._steps`` (and ``machine._sync_gas`` ahead of
 REVERT) before any raising operation so the step count and revert gas
 refund stay exact.
 
-Programs are cached in a process-level LRU beside
-:mod:`repro.evm.analysis`'s ``CodeAnalysis`` cache — but keyed on the
-event mask as well as the code digest, and the ``id(code)`` fast path
-memo keys on ``(id(code), event_mask)``: a pool worker serving campaigns
-with different oracle subscriptions must never reuse a closure compiled
-for a different mask.
+A program is built once per code and event mask, into the ``programs``
+map of the code's :class:`~repro.evm.analysis.CodeAnalysis` record, from
+the CFG that record holds.  Keying on the mask means a pool worker
+serving campaigns with different oracle subscriptions never reuses a
+closure compiled for a different mask.
 """
 
 from __future__ import annotations
 
 import hashlib
-from collections import OrderedDict
 
 from repro import layers
 from repro.analysis.absint import fold_binary
-from repro.analysis.cfg import build_cfg
-from repro.evm.analysis import analyze_code
+from repro.evm.analysis import CodeAnalysis, analyze_code
 from repro.evm.errors import InvalidJump
 from repro.evm.handlers import (
     CALLDATA_SHADOW,
@@ -234,8 +231,6 @@ _T_FUSED_STEPS = _metrics.counter("fusion.fused_steps")
 _T_RT_BAILOUTS = _metrics.counter("fusion.runtime_bailouts")
 _T_WARMUP = _metrics.counter("fusion.warmup_declines")
 _T_REENTRIES = _metrics.counter("fusion.reentries")
-_T_HITS = _metrics.counter("fusion.cache.hits")
-_T_MISSES = _metrics.counter("fusion.cache.misses")
 _T_REASONS = {
     "gas_observing": _metrics.counter("fusion.fallback.gas_observing"),
     "raising": _metrics.counter("fusion.fallback.raising"),
@@ -273,8 +268,6 @@ def _collect_fusion_counters() -> None:
     _T_RT_BAILOUTS.set_total(_handoffs - _warmup_declines)
     _T_WARMUP.set_total(_warmup_declines)
     _T_REENTRIES.set_total(_reentries)
-    _T_HITS.set_total(_hits)
-    _T_MISSES.set_total(_misses)
     for reason, counter in _T_REASONS.items():
         counter.set_total(_fallback_reasons.get(reason, 0))
 
@@ -1267,12 +1260,11 @@ def _make_stub(compile_entry, heat: dict, start: int):
     return stub
 
 
-def _compile_program(code: bytes, mask: int) -> FusedProgram:
+def _compile_program(analysis: CodeAnalysis, mask: int) -> FusedProgram:
     """Classify every block and build everything but the fused
     superblocks, which compile once warm (see :class:`FusedProgram`)."""
     global _programs, _blocks_fused, _blocks_bailout
-    analysis = analyze_code(code)
-    cfg = build_cfg(code)
+    cfg = analysis.cfg
     blocks: dict[int, object] = {}
     stats = {"blocks": len(cfg.blocks), "fused": 0, "bailout": 0,
              "folded": 0, "inlined": 0, "threaded": 0, "chained": 0,
@@ -1339,7 +1331,8 @@ def _compile_program(code: bytes, mask: int) -> FusedProgram:
             ns[name] = data
         return name
 
-    filename = f"<fusion:{hashlib.sha256(code).hexdigest()[:12]}:{mask:#x}>"
+    digest = hashlib.sha256(analysis.code).hexdigest()
+    filename = f"<fusion:{digest[:12]}:{mask:#x}>"
     sources: dict[int, str] = {}
     heat: dict[int, int] = {}
 
@@ -1399,43 +1392,20 @@ def _compile_program(code: bytes, mask: int) -> FusedProgram:
     return program
 
 
-# -- process-level cache ------------------------------------------------------
-
-CACHE_CAPACITY = 256
-_cache: OrderedDict[tuple, FusedProgram] = OrderedDict()
-#: identity fast path, same contract as evm.analysis's memo — but keyed on
-#: ``(id(code), event_mask)``: unlike CodeAnalysis, programs are
-#: mask-specialized, and pool workers interleave campaigns with different
-#: oracle subscriptions over the same code objects
-_id_memo: dict[tuple, tuple] = {}
-_ID_MEMO_CAPACITY = 128
-_hits = 0
-_misses = 0
+# -- entry point --------------------------------------------------------------
 
 
-def fused_program(code: bytes, event_mask: int) -> FusedProgram:
-    """The (cached) fused program for ``code`` under ``event_mask``."""
-    global _hits, _misses
-    memo_key = (id(code), event_mask)
-    memo = _id_memo.get(memo_key)
-    if memo is not None and memo[0] is code:
-        _hits += 1
-        return memo[1]
-    key = (hashlib.sha256(code).digest(), event_mask)
-    entry = _cache.get(key)
-    if entry is not None:
-        _hits += 1
-        _cache.move_to_end(key)
-    else:
-        _misses += 1
-        entry = _compile_program(code, event_mask)
-        _cache[key] = entry
-        while len(_cache) > CACHE_CAPACITY:
-            _cache.popitem(last=False)
-    if len(_id_memo) >= _ID_MEMO_CAPACITY:
-        _id_memo.clear()
-    _id_memo[memo_key] = (code, entry)
-    return entry
+def fused_program(code: bytes, event_mask: int,
+                  analysis: CodeAnalysis | None = None) -> FusedProgram:
+    """The fused program for ``code`` under ``event_mask``, built once
+    into ``analysis`` (``code``'s record; looked up when not given)."""
+    if analysis is None:
+        analysis = analyze_code(code)
+    program = analysis.programs.get(event_mask)
+    if program is None:
+        program = analysis.programs[event_mask] = _compile_program(
+            analysis, event_mask)
+    return program
 
 
 def fusion_stats() -> dict:
@@ -1457,20 +1427,15 @@ def fusion_stats() -> dict:
         "warmup_declines": _warmup_declines,
         "reentries": _reentries,
         "fallback_reasons": dict(_fallback_reasons),
-        "hits": _hits,
-        "misses": _misses,
-        "entries": len(_cache),
     }
 
 
-def clear_cache() -> None:
-    """Drop every cached program and reset the counters (tests)."""
+def reset_stats() -> None:
+    """Zero the compile/runtime counters (tests); the programs stay in
+    their records (:func:`repro.evm.analysis.clear_cache` drops them)."""
     global _programs, _blocks_fused, _blocks_bailout
     global _folded_ops, _inlined_ops, _threaded_jumps, _chained_blocks
     global _entries_compiled, _handoffs, _warmup_declines, _reentries
-    global _hits, _misses
-    _cache.clear()
-    _id_memo.clear()
     _programs = 0
     _blocks_fused = 0
     _blocks_bailout = 0
@@ -1484,5 +1449,3 @@ def clear_cache() -> None:
     _reentries = 0
     _fallback_reasons.clear()
     _FUSED_STEPS[0] = 0
-    _hits = 0
-    _misses = 0

@@ -286,7 +286,7 @@ class Machine:
         gas = frame.msg.gas
         block = entries = None
         if self.block_fusion:
-            program = fused_program(code, self.event_mask)
+            program = fused_program(code, self.event_mask, analysis)
             block = program.entry
             entries = program.blocks
         while True:

@@ -15,12 +15,9 @@ campaign replays the same witness).
 
 from __future__ import annotations
 
-from repro.analysis.disassembler import disassemble
-from repro.evm.opcodes import Op
+from repro.analysis.surface import SEND_OPS, surface_for
 from repro.evm.trace import EV_ETHER
 from repro.oracles.base import BugClass, Oracle, OracleContext
-
-_SEND_OPS = frozenset({Op.CALL, Op.DELEGATECALL, Op.SELFDESTRUCT})
 
 
 class EtherFreezeOracle(Oracle):
@@ -72,9 +69,7 @@ class EtherFreezeOracle(Oracle):
     def finalize(self, ctx: OracleContext):
         if not self._received:
             return
-        opcodes_present = {ins.opcode
-                           for ins in disassemble(ctx.artifact.runtime_code)}
-        if opcodes_present & _SEND_OPS:
+        if surface_for(ctx.artifact.runtime_code).opcodes & SEND_OPS:
             return
         yield self.finding(
             ctx, 0,

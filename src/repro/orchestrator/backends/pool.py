@@ -4,13 +4,14 @@
 them until the matrix is done, so interpreter boot and package import are
 paid once per worker instead of once per job.  Each worker keeps
 process-local caches keyed on the contract — the compile cache
-(:mod:`repro.compiler.cache`), and the surface, prefix and fusion caches
-built on its bytecode — so the scheduler dispatches by **contract
-affinity** (:class:`AffinityQueue`): a free worker takes the oldest
-pending job of a contract it has already run, otherwise the oldest
-pending job of a contract no live worker has run, otherwise it steals the
-oldest pending job.  A contract fuzzed across presets × trials is thus
-set up once per matrix, plus once per worker that steals one of its jobs.
+(:mod:`repro.compiler.cache`), and the analysis record of its bytecode
+(:mod:`repro.evm.analysis`: CFG, surface, fused programs) — so the
+scheduler dispatches by **contract affinity** (:class:`AffinityQueue`):
+a free worker takes the oldest pending job of a contract it has already
+run, otherwise the oldest pending job of a contract no live worker has
+run, otherwise it steals the oldest pending job.  A contract fuzzed
+across presets × trials is thus set up once per matrix, plus once per
+worker that steals one of its jobs.
 
 The scheduler dispatches exactly one job at a time to each worker over a
 per-worker queue.  A worker whose result arrives is handed its next job

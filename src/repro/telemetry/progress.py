@@ -70,7 +70,7 @@ def snapshot_of(fuzzer) -> ProgressSnapshot:
     Pure observation: reads counters and aggregates, mutates nothing.
     """
     from repro.compiler.cache import compile_cache_stats
-    from repro.evm.analysis import analysis_cache_stats
+    from repro.evm import analysis as code_analysis
     from repro.telemetry import spans
 
     budget = fuzzer.budget
@@ -86,7 +86,7 @@ def snapshot_of(fuzzer) -> ProgressSnapshot:
         remaining["wall_clock_s"] = round(
             max(0.0, budget.max_wall_clock - elapsed), 3)
     compile_stats = compile_cache_stats()
-    analysis_stats = analysis_cache_stats()
+    analysis_stats = code_analysis.cache_stats()
     state = getattr(fuzzer, "_state", None)
     return ProgressSnapshot(
         stage=spans.current_stage(),

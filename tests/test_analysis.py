@@ -9,10 +9,8 @@ from repro.analysis import (
     jumpi_pcs,
     PrefixAnalyzer,
 )
-from repro.analysis import surface as surface_mod
 from repro.analysis.surface import (
     BUG_CLASS_CODES,
-    SurfaceDataflow,
     compute_surface,
     surface_for,
 )
@@ -22,6 +20,8 @@ from repro.analysis.distance import (
     seed_distance,
 )
 from repro.compiler import compile_source
+from repro.evm import analysis as evm_analysis
+from repro.evm.analysis import analyze_code
 from repro.evm.opcodes import Op
 from repro.evm.trace import BranchEvent, ExecutionTrace
 from repro.lang.parser import parse_source
@@ -221,21 +221,23 @@ class TestPrefixAnalyzer:
                                                   monkeypatch):
         code = crowdsale_artifact.runtime_code
         surface = surface_for(code)
+        cfg = analyze_code(code).cfg
         first = PrefixAnalyzer(code, surface=surface)
         second = PrefixAnalyzer(code, surface=surface)
-        assert first.cfg is second.cfg is surface.cfg
+        # an equal code in another bytes object finds the same record
+        fresh = PrefixAnalyzer(bytes(bytearray(code)))
+        assert first.cfg is second.cfg is fresh.cfg is cfg
         walks = []
-        reference = type(surface.cfg).reachable_opcodes_from
-        monkeypatch.setattr(type(surface.cfg), "reachable_opcodes_from",
+        reference = type(cfg).reachable_opcodes_from
+        monkeypatch.setattr(type(cfg), "reachable_opcodes_from",
                             lambda cfg, pc: walks.append(pc)
                             or reference(cfg, pc))
-        fresh = PrefixAnalyzer(code)
         for pc in crowdsale_artifact.branch_info:
             # every JUMPI successor is a block start: no per-query walk
             assert first.reachability(pc) == second.reachability(pc) \
                 == fresh.reachability(pc)
         assert walks == []
-        assert len(surface.cfg._reach) == 1
+        assert len(cfg._reach) == 1
 
     def test_fixpoint_matches_bfs_on_every_corpus_block(self):
         """The one-pass reachability fixpoint equals the per-block walk
@@ -463,13 +465,15 @@ class TestSurfaceDeadLivePairs:
 
 class TestSurfaceCache:
     def test_cache_hits_on_same_code(self):
-        surface_mod.clear_cache()
+        evm_analysis.clear_cache()
         artifact = compile_source(CROWDSALE_SOURCE)
-        first = surface_for(artifact.runtime_code)
-        second = surface_for(artifact.runtime_code)
-        assert first is second
-        stats = surface_mod.cache_stats()
-        assert stats["hits"] >= 1 and stats["misses"] >= 1
+        code = artifact.runtime_code
+        first = surface_for(code)
+        # an equal code in another bytes object finds the same record
+        second = surface_for(bytes(bytearray(code)))
+        assert first is second is analyze_code(code).surface
+        stats = evm_analysis.cache_stats()
+        assert stats["misses"] == 1 and stats["hits"] >= 1
 
     def test_cached_surface_equals_fresh_compute(self):
         artifact = compile_source(CROWDSALE_SOURCE)
@@ -484,41 +488,18 @@ class TestSurfaceCache:
         assert a == b
 
 
-class TestSurfaceDataflowAdapter:
-    """Bytecode-level dataflow drives sequencing when source is absent."""
-
-    def _surface_dataflow(self):
-        artifact = compile_source(CROWDSALE_SOURCE)
-        surface = compute_surface(artifact.runtime_code)
-        return artifact, SurfaceDataflow(surface, artifact.abi)
-
-    def test_external_names_follow_abi_order(self):
-        artifact, dataflow = self._surface_dataflow()
-        assert list(dataflow.external_names()) == \
-            [fn.name for fn in artifact.abi.functions]
+class TestSurfaceSelectorFacts:
+    """``repro analyze`` prints the bytecode-level per-selector facts
+    beside the source-level data flow; the two agree on Crowdsale."""
 
     def test_repeat_candidates_match_source_analysis(self):
-        artifact, dataflow = self._surface_dataflow()
+        artifact = compile_source(CROWDSALE_SOURCE)
+        selectors = compute_surface(artifact.runtime_code).selectors
+        branch_slots = {slot for facts in selectors.values()
+                        for slot in facts.branch_reads}
+        # a RAW self-dependency on a slot some branch reads
+        repeat = {artifact.abi.by_selector(sel).name
+                  for sel, facts in selectors.items()
+                  if branch_slots.intersection(facts.self_deps)}
         ast_flow = analyze_contract(artifact.contract_ast)
-        assert dataflow.repeat_candidates() == ast_flow.repeat_candidates()
-
-    def test_write_read_edges_resolve_slot_names(self):
-        _, dataflow = self._surface_dataflow()
-        edges = dataflow.write_read_edges()
-        assert any(w == "invest" and r == "refund" for w, r, _ in edges)
-        assert all(slot.startswith("slot") for _, _, slot in edges)
-
-    def test_sequence_generator_runs_without_ast(self):
-        import random
-
-        from repro.core import config as core_config
-        from repro.core.sequence import SequenceGenerator
-
-        _, dataflow = self._surface_dataflow()
-        gen = SequenceGenerator(
-            None, dataflow, random.Random(7),
-            strategy=core_config.SEQ_DATAFLOW_REPEAT)
-        seq = gen.base_sequence()
-        assert seq
-        assert set(seq) <= set(dataflow.external_names())
-        assert gen.repeat_candidates() == {"invest"}
+        assert repeat == ast_flow.repeat_candidates() == {"invest"}

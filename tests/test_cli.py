@@ -218,6 +218,38 @@ class TestOracleSelection:
         assert "not a campaign result record" in capsys.readouterr().err
 
 
+#: (command, fault) pairs for the bad-FILE test: every command that
+#: compiles one FILE, with each way FILE can fail, plus ``campaign`` (whose
+#: FILE compiles per job, so only a missing one stops the command)
+BAD_FILE_CASES = [(command, fault)
+                  for command in ("fuzz", "compile", "disasm", "analyze",
+                                  "scan")
+                  for fault in ("missing", "syntax", "contract")]
+BAD_FILE_CASES.append(("campaign", "missing"))
+
+
+@pytest.mark.parametrize("command,fault", BAD_FILE_CASES)
+def test_bad_file_is_one_error_line_and_exit_2(capsys, tmp_path,
+                                               crowdsale_file, command,
+                                               fault):
+    if fault == "missing":
+        path = str(tmp_path / "absent.sol")
+        argv = [command, path]
+    elif fault == "syntax":
+        broken = tmp_path / "broken.sol"
+        broken.write_text("contract Broken { uint256 x = ; }")
+        path = str(broken)
+        argv = [command, path]
+    else:
+        path = crowdsale_file
+        argv = [command, path, "--contract", "Nope"]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}: ")
+    assert len(err.strip().splitlines()) == 1
+    assert "Traceback" not in err
+
+
 class TestPerfLayerFlag:
     def test_fuzz_disable_all_changes_no_result(self, capsys,
                                                 lockbox_file):

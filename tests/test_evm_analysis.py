@@ -1,5 +1,8 @@
 """Unit tests for the shared code-analysis cache and the predecoded stream."""
 
+import sys
+from collections import Counter
+
 import pytest
 
 from repro.evm import analysis
@@ -110,3 +113,57 @@ class TestProcessLevelCache:
                           data=b"", gas=10 ** 6, code=code)
             assert machine.execute(msg).success
         assert analysis.cache_stats()["misses"] == 1
+
+
+class TestOneRecordPerCode:
+    """The record is the one per-code cache: a campaign decodes its
+    runtime code once, and the surface, the prefix analyzer and block
+    fusion all read the one CFG built from that decode."""
+
+    @staticmethod
+    def _count_decodes(monkeypatch, code: bytes) -> Counter:
+        """Count ``disassemble``/``build_cfg`` calls on ``code``, through
+        every module that bound either function by name."""
+        from repro.analysis.cfg import build_cfg
+        from repro.analysis.disassembler import disassemble
+
+        counts: Counter = Counter()
+        for func in (disassemble, build_cfg):
+            def counting(arg, *rest, _func=func):
+                if arg == code:
+                    counts[_func.__name__] += 1
+                return _func(arg, *rest)
+
+            for name, module in list(sys.modules.items()):
+                if name.startswith("repro") \
+                        and getattr(module, func.__name__, None) is func:
+                    monkeypatch.setattr(module, func.__name__, counting)
+        return counts
+
+    def test_campaign_decodes_runtime_code_once(self, monkeypatch):
+        from repro.analysis.prefix import PrefixAnalyzer
+        from repro.analysis.surface import surface_for
+        from repro.compiler import compile_source
+        from repro.core import Fuzzer, mufuzz_config, sfuzz_config
+        from repro.evm.fusion import fused_program
+        from tests.conftest import CROWDSALE_SOURCE
+
+        artifact = compile_source(CROWDSALE_SOURCE)
+        code = artifact.runtime_code
+        counts = self._count_decodes(monkeypatch, code)
+        fuzzer = Fuzzer(artifact, mufuzz_config(iterations=40, rng_seed=1))
+        fuzzer.run()
+        assert counts == {"disassemble": 1, "build_cfg": 1}
+
+        record = analyze_code(code)
+        cfg = record.cfg
+        assert fuzzer.surface is surface_for(code) is record.surface
+        assert fuzzer.prefix.cfg is PrefixAnalyzer(code).cfg is cfg
+        mask = fuzzer.base_chain.event_mask
+        program = fused_program(code, mask)
+        assert program is record.programs[mask]
+        assert sorted(program.tiers) == sorted(cfg.blocks)
+
+        # a second campaign over the same code builds nothing
+        Fuzzer(artifact, sfuzz_config(iterations=40, rng_seed=2)).run()
+        assert counts == {"disassemble": 1, "build_cfg": 1}

@@ -22,7 +22,7 @@ from repro.chain.state import WorldState
 from repro.chain.transactions import Transaction
 from repro.compiler import compile_source, encode_call
 from repro.corpus import generate_d3
-from repro.evm import fusion
+from repro.evm import analysis, fusion
 from repro.evm.fusion import (
     FUSION_ARM_GATE,
     FUSION_BAILOUT,
@@ -116,9 +116,11 @@ def assert_differential(code: bytes, *, event_mask: int = EV_ALL,
 
 @pytest.fixture(autouse=True)
 def _fresh_fusion_cache():
-    fusion.clear_cache()
+    analysis.clear_cache()
+    fusion.reset_stats()
     yield
-    fusion.clear_cache()
+    analysis.clear_cache()
+    fusion.reset_stats()
 
 
 # -- constant folding ---------------------------------------------------------
@@ -347,19 +349,19 @@ class TestCache:
         assert folded.stats["folded"] > unfolded.stats["folded"]
 
     def test_id_memo_keys_on_mask(self):
-        # regression for the CodeAnalysis id-memo pitfall: two configs
-        # (different oracle masks) sharing one worker process interleave
-        # lookups over the *same* code object — each must keep getting its
-        # own specialization, with the memo fast path serving both
+        # two configs (different oracle masks) sharing one worker process
+        # interleave lookups over the *same* code object: the id-memo
+        # fast path finds one record for both, and each must keep getting
+        # its own specialization from the record's per-mask map
         code = asm(push1(1), push1(2), Op.GT, Op.POP, Op.STOP)
         a0 = fused_program(code, 0)
         b0 = fused_program(code, EV_COMPARE)
         for _ in range(3):
             assert fused_program(code, 0) is a0
             assert fused_program(code, EV_COMPARE) is b0
-        stats = fusion_stats()
-        assert stats["misses"] == 2
-        assert stats["hits"] == 6
+        assert analysis.analyze_code(code).programs == {0: a0,
+                                                        EV_COMPARE: b0}
+        assert fusion_stats()["programs"] == 2
 
     def test_equal_code_different_object_hits_sha_cache(self):
         code = asm(push1(3), Op.POP, Op.STOP)
@@ -367,7 +369,7 @@ class TestCache:
         clone = bytes(bytearray(code))
         assert clone is not code
         assert fused_program(clone, 0) is first
-        assert fusion_stats()["misses"] == 1
+        assert fusion_stats()["programs"] == 1
 
     def test_empty_code_has_no_entry(self):
         program = fused_program(b"", 0)
@@ -545,10 +547,10 @@ class TestLazyCompile:
         reused = campaign("sfuzz")
         second = fusion_stats()
         # sfuzz found every program mufuzz built, and warmed new entries
-        assert second["misses"] == first["misses"]
+        assert second["programs"] == first["programs"]
         assert second["entries_compiled"] > first["entries_compiled"]
 
-        fusion.clear_cache()
+        analysis.clear_cache()
         assert campaign("sfuzz") == reused
 
     def test_nested_frame_compiles_entries_while_outer_waits_on_table(
