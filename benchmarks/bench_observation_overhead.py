@@ -7,13 +7,17 @@ times both over the same fixed-sequence replay workload on the d2
 corpus (interpreter + state reset + detection), with the state cache
 pinned off so every replay executes all of its transactions:
 
-* **oracles** — per-transaction cost with ``all`` nine oracles,
-  a ``single`` one (integer overflow: the restricted-campaign case) and
-  ``none`` (coverage only).  The bus derives the machine's
-  event-materialization mask from the subscribed oracles, so a
-  restricted campaign may cost at most :data:`ORACLE_BOUND` × ``all``.
+* **oracles** — replay cost with ``all`` nine oracles, a ``single`` one
+  (integer overflow: the restricted-campaign case) and ``none``
+  (coverage only).  The bus derives the machine's event-materialization
+  mask from the subscribed oracles, so a restricted campaign may cost at
+  most :data:`ORACLE_BOUND` × ``all``.
 * **telemetry** — replay time with telemetry on against off.  Enabled
   telemetry may cost at most :data:`TELEMETRY_BUDGET` of it.
+
+Both series use one estimator, :func:`_paired_series`: the arms run back
+to back in every round and each budget gates a median of per-round
+ratios.
 
 It prints a table and writes nothing.  Run it directly
 (``python benchmarks/bench_observation_overhead.py [--smoke]``; ``--smoke``
@@ -37,13 +41,10 @@ N_CONTRACTS = 6
 N_CONTRACTS_SMOKE = 2
 REPLAY_ITERS = 120
 REPLAY_ITERS_SMOKE = 25
-#: repetitions per oracle selection; wall clock is best-of so a
-#: scheduler blip on a loaded (CI) machine cannot flip the comparison
-REPETITIONS = 5
-#: fewest paired on/off ratios behind the telemetry median: one pair's
-#: ratio swings by several percent on a shared machine, so a median of
-#: a dozen lands on either side of a 3% budget by chance
-TELEMETRY_PAIRS = 48
+#: fewest paired ratios behind each median: one pair's ratio swings by
+#: several percent on a shared machine, so a median of a dozen lands on
+#: either side of a 3% budget by chance
+PAIRS = 48
 
 #: oracle selections benched (config.bug_classes values)
 VARIANTS = {
@@ -77,92 +78,112 @@ def _replay_fuzzer(contract, iters: int, bug_classes=None) -> Fuzzer:
                   disable=("state_cache",))
 
 
-def _oracle_costs(contracts, iters: int) -> dict:
-    """Fixed-sequence replay under each oracle selection; per-tx cost.
+def _paired_series(contracts, iters: int, arms_for) -> dict:
+    """Time the arms of one series against its first (base) arm.
 
-    Best-of-``REPETITIONS`` wall clock per selection: each repetition
-    rebuilds the fuzzers and replays the same deterministic workload
-    under every selection in turn, so a slow period on a shared machine
-    hits all of them rather than one.  Transaction and finding counts
-    are identical across repetitions by construction."""
-    best: dict = {}
-    for _ in range(REPETITIONS):
-        for label, bug_classes in VARIANTS.items():
-            transactions = 0
-            findings = 0
-            elapsed = 0.0
-            for contract in contracts:
-                fuzzer = _replay_fuzzer(contract, iters, bug_classes)
-                seed = fuzzer._fresh_seed()
+    ``arms_for(contract)`` maps each arm's label to ``(fuzzer, seed,
+    switch)``: the fuzzer and seed it replays (warmed here by one
+    replay), and a callable that puts the process into that arm's mode
+    (or None).  The effect under measurement (a few percent at most) is
+    far below the noise floor of a shared CI machine, so the estimator
+    is built for hostile conditions: each round times every arm *back to
+    back* over the same ``iters`` replays, the arm order rotates by one
+    every round (so monotonic frequency / thermal drift penalizes each
+    arm equally often), and each arm's figure is the **median of its
+    per-round ratios** to the base arm across every (contract, round)
+    pair — robust to the asymmetric slow tail that wrecks mean- and
+    best-of estimators.  Returns per arm the summed ``elapsed`` seconds,
+    ``steps`` and ``transactions``, the median ``ratio`` and its
+    ``pairs``.
+    """
+    rounds = -(-PAIRS // len(contracts))
+    series: dict = {}
+    ratios: dict = {}
+    for contract in contracts:
+        arms = arms_for(contract)
+        labels = list(arms)
+        for fuzzer, seed, switch in arms.values():
+            if switch is not None:
+                switch()
+            fuzzer._execute(seed)  # warm the analysis/compile caches
+        for round_no in range(rounds):
+            shift = round_no % len(labels)
+            elapsed = {}
+            for label in labels[shift:] + labels[:shift]:
+                fuzzer, seed, switch = arms[label]
+                if switch is not None:
+                    switch()
+                transactions = fuzzer.transactions
+                steps = 0
                 start = time.perf_counter()
                 for _ in range(iters):
-                    fuzzer._execute(seed)
-                elapsed += time.perf_counter() - start
-                transactions += fuzzer.transactions
-                findings += len(fuzzer.collector.findings)
-            if label not in best or elapsed < best[label][0]:
-                best[label] = (elapsed, transactions, findings)
-    return {label: {"transactions": transactions,
-                    "findings": findings,
-                    "wall_clock_s": round(elapsed, 3),
-                    "us_per_tx": round(elapsed / transactions * 1e6, 2)}
-            for label, (elapsed, transactions, findings) in best.items()}
+                    steps += fuzzer._execute(seed).steps
+                elapsed[label] = time.perf_counter() - start
+                arm = series.setdefault(
+                    label, {"elapsed": 0.0, "steps": 0, "transactions": 0})
+                arm["elapsed"] += elapsed[label]
+                arm["steps"] += steps
+                arm["transactions"] += fuzzer.transactions - transactions
+            for label in labels:
+                ratios.setdefault(label, []).append(
+                    elapsed[label] / elapsed[labels[0]])
+    for label, arm in series.items():
+        arm_ratios = sorted(ratios[label])
+        arm["ratio"] = arm_ratios[len(arm_ratios) // 2]
+        arm["pairs"] = len(arm_ratios)
+    return series
+
+
+def _oracle_costs(contracts, iters: int) -> dict:
+    """Fixed-sequence replay under each oracle selection, each on its own
+    fuzzer: per-tx cost and the median paired ratio to ``all``.  Every
+    selection replays the same seed, so transaction counts are identical
+    across selections by construction."""
+    fuzzers: dict = {label: [] for label in VARIANTS}
+
+    def arms_for(contract) -> dict:
+        arms = {}
+        for label, bug_classes in VARIANTS.items():
+            fuzzer = _replay_fuzzer(contract, iters, bug_classes)
+            fuzzers[label].append(fuzzer)
+            arms[label] = (fuzzer, fuzzer._fresh_seed(), None)
+        return arms
+
+    series = _paired_series(contracts, iters, arms_for)
+    return {label: {"transactions": arm["transactions"],
+                    "findings": sum(len(fuzzer.collector.findings)
+                                    for fuzzer in fuzzers[label]),
+                    "us_per_tx": round(arm["elapsed"]
+                                       / arm["transactions"] * 1e6, 2),
+                    "vs_all": round(arm["ratio"], 3),
+                    "pairs": arm["pairs"]}
+            for label, arm in series.items()}
 
 
 def _telemetry_overhead(contracts, iters: int) -> dict:
-    """A/B series: replay throughput with telemetry off vs on.
-
-    The effect under measurement (a few percent at most) is far below the
-    noise floor of a shared CI machine, so the estimator is built for
-    hostile conditions: each round times the two arms *back to back* on
-    the same warmed fuzzer and records the on/off time ratio of that pair,
-    the arm order alternates every round (so monotonic frequency / thermal
-    drift penalizes each arm equally often), and the reported overhead is
-    the **median of the paired ratios** across every (contract, round)
-    pair — robust to the asymmetric slow-tail that wrecks mean- and
-    best-of estimators.
-    """
+    """Replay time with telemetry on against off, both arms on one
+    fuzzer per contract."""
     was_enabled = telemetry_metrics.enabled()
-    ratios = []
-    total = {"off": 0.0, "on": 0.0}
-    steps = {"off": 0, "on": 0}
-    rounds = -(-TELEMETRY_PAIRS // len(contracts))
+
+    def arms_for(contract) -> dict:
+        fuzzer = _replay_fuzzer(contract, iters)
+        seed = fuzzer._fresh_seed()
+        return {"off": (fuzzer, seed, telemetry_metrics.disable),
+                "on": (fuzzer, seed, telemetry_metrics.enable)}
+
     try:
-        for contract in contracts:
-            fuzzer = _replay_fuzzer(contract, iters)
-            seed = fuzzer._fresh_seed()
-            fuzzer._execute(seed)  # warm the analysis/compile caches
-            for round_no in range(rounds):
-                arms = (("off", "on") if round_no % 2 == 0
-                        else ("on", "off"))
-                elapsed = {}
-                for arm in arms:
-                    if arm == "on":
-                        telemetry_metrics.enable()
-                    else:
-                        telemetry_metrics.disable()
-                    start = time.perf_counter()
-                    round_steps = 0
-                    for _ in range(iters):
-                        round_steps += fuzzer._execute(seed).steps
-                    elapsed[arm] = time.perf_counter() - start
-                    total[arm] += elapsed[arm]
-                    steps[arm] += round_steps
-                ratios.append(elapsed["on"] / elapsed["off"])
+        series = _paired_series(contracts, iters, arms_for)
     finally:
         if was_enabled:
             telemetry_metrics.enable()
         else:
             telemetry_metrics.disable()
-    ratios.sort()
-    median = ratios[len(ratios) // 2] if ratios else 1.0
+    off, on = series["off"], series["on"]
     return {
-        "disabled_steps_per_sec": (round(steps["off"] / total["off"])
-                                   if total["off"] else None),
-        "enabled_steps_per_sec": (round(steps["on"] / total["on"])
-                                  if total["on"] else None),
-        "overhead": round(median - 1.0, 4),
-        "pairs": len(ratios),
+        "disabled_steps_per_sec": round(off["steps"] / off["elapsed"]),
+        "enabled_steps_per_sec": round(on["steps"] / on["elapsed"]),
+        "overhead": round(on["ratio"] - 1.0, 4),
+        "pairs": on["pairs"],
     }
 
 
@@ -182,12 +203,12 @@ def budget_failures(entry: dict) -> list:
     """One line per broken budget; empty when both hold."""
     failures = []
     oracles = entry["oracles"]
-    base = oracles["all"]["us_per_tx"]
     for label in ("single", "none"):
-        cost = oracles[label]["us_per_tx"]
-        if cost > base * ORACLE_BOUND:
-            failures.append(f"oracles {label!r} cost {cost} us/tx, above "
-                            f"{ORACLE_BOUND} x all ({base} us/tx)")
+        ratio = oracles[label]["vs_all"]
+        if ratio > ORACLE_BOUND:
+            failures.append(f"oracles {label!r} cost {ratio} x all (median "
+                            f"of {oracles[label]['pairs']} paired ratios), "
+                            f"above {ORACLE_BOUND}")
     overhead = entry["telemetry"]["overhead"]
     if overhead > TELEMETRY_BUDGET:
         failures.append(f"telemetry costs {overhead:+.2%} of replay time "
@@ -197,14 +218,14 @@ def budget_failures(entry: dict) -> list:
 
 def format_report(entry: dict) -> str:
     oracles = entry["oracles"]
-    base = oracles["all"]["us_per_tx"]
-    rows = [[label, cost["us_per_tx"], f"{cost['us_per_tx'] / base:.2f}",
+    rows = [[label, cost["us_per_tx"], f"{cost['vs_all']:.2f}",
              cost["transactions"], cost["findings"]]
             for label, cost in oracles.items()]
     table = format_table(
         ["oracles", "us/tx", "vs all", "txs", "finding keys"], rows,
         title=f"observation overhead, d2 replay with the state cache off "
-              f"({len(entry['contracts'])} contracts)")
+              f"({len(entry['contracts'])} contracts; vs all: median of "
+              f"{oracles['all']['pairs']} paired ratios)")
     t = entry["telemetry"]
     return (f"{table}\ntelemetry: {t['disabled_steps_per_sec']} steps/s "
             f"off, {t['enabled_steps_per_sec']} on, overhead "

@@ -5,18 +5,19 @@
 * :mod:`repro.analysis.dataflow` — AST-level state-variable read/write and
   read-after-write analysis (§IV-A of the paper).
 * :mod:`repro.analysis.absint` — stack-symbolic abstract interpretation
-  over the CFG: a constant/taint lattice harvesting PUSH/compare
-  constants, SLOAD/SSTORE slot resolution, dispatcher selector entries,
-  and per-bug-class candidate pcs.
+  over the CFG: a constant/taint lattice harvesting compare constants,
+  SLOAD/SSTORE slot resolution, CALL-family sites and per-bug-class
+  candidate pcs.
 * :mod:`repro.analysis.surface` — the per-contract
   :class:`~repro.analysis.surface.VulnerabilitySurface`: sound
   opcode-absence liveness proofs per bug class (the oracle-pruning gate),
-  per-selector storage slot sets (the bytecode-level counterpart of the
-  AST dataflow), and the mutation dictionary.
+  the mutation dictionary, and report-only fields that ``repro analyze``
+  prints.
 * :mod:`repro.analysis.prefix` — lightweight path-prefix reachability of
   vulnerable instructions (§IV-C, Algorithm 3 support), fast-pathed by the
   surface's whole-code opcode facts.
-* :mod:`repro.analysis.distance` — branch-distance aggregation helpers.
+* :mod:`repro.analysis.distance` — per-trace branch distances (sFuzz
+  feedback).
 
 A code's CFG, linear disassembly and surface are derived once per
 process, on its :class:`~repro.evm.analysis.CodeAnalysis` record (the one
@@ -40,13 +41,11 @@ from repro.analysis.dataflow import (
 )
 from repro.analysis.absint import AbstractFacts, AbsState, interpret
 from repro.analysis.surface import (
-    SelectorFacts,
     VulnerabilitySurface,
     compute_surface,
     surface_for,
 )
 from repro.analysis.prefix import PrefixAnalyzer
-from repro.analysis.distance import branch_distance_summary
 
 __all__ = [
     "Instruction",
@@ -61,10 +60,8 @@ __all__ = [
     "AbstractFacts",
     "AbsState",
     "interpret",
-    "SelectorFacts",
     "VulnerabilitySurface",
     "compute_surface",
     "surface_for",
     "PrefixAnalyzer",
-    "branch_distance_summary",
 ]

@@ -8,9 +8,6 @@ Abstract values are plain tuples:
   anything folded from them),
 * ``("calldata", off)`` — the word loaded from calldata at constant offset
   ``off`` (implicitly calldata-tainted),
-* ``("cmpsel", sel)`` — the boolean result of ``EQ(const, calldata@0)``,
-  i.e. the MiniSol dispatcher's selector comparison (used to map selectors
-  to function-entry pcs),
 * ``("unk", tags)`` — anything else, carrying a frozenset of taint tags:
   the strings ``"calldata"``, ``"caller"``, ``"origin"``, ``"callvalue"``,
   ``"balance"``, ``"block"``, ``"callres"``, ``"sha3"`` plus ``("slot", k)``
@@ -19,16 +16,16 @@ Abstract values are plain tuples:
 The interpreter runs a worklist to a fixpoint with element-wise stack join
 and a per-block visit cap (past the cap, incoming constants are widened to
 their taint form, which makes the lattice finite).  Facts accumulate
-monotonically across visits: PUSH/compare constant harvests, SLOAD/SSTORE
+monotonically across visits: the compare-constant harvest, SLOAD/SSTORE
 slot resolution, per-:class:`~repro.oracles.base.BugClass` candidate pcs,
-CALL-family value/target facts, and dispatcher selector entries.
+and CALL-family value/target facts.
 
 **These facts are heuristic guidance, never proofs.**  Everything with a
 soundness obligation (oracle pruning) lives in
 :mod:`repro.analysis.surface` and relies only on whole-code opcode absence
-over the linear disassembly — the abstract facts here feed the mutation
-dictionary, sequence ordering, and energy scheduling, where a missed or
-spurious fact costs throughput, not findings.
+over the linear disassembly.  In a campaign the facts here feed only the
+mutation dictionary, where a missed or spurious fact costs throughput,
+not findings; the rest is reported by ``repro analyze``.
 """
 
 from __future__ import annotations
@@ -64,7 +61,7 @@ def tags_of(value: tuple) -> frozenset:
     kind = value[0]
     if kind == "const":
         return _EMPTY
-    if kind in ("calldata", "cmpsel"):
+    if kind == "calldata":
         return _CALLDATA_TAGS
     return value[1]
 
@@ -136,21 +133,12 @@ class CallFact:
 class AbstractFacts:
     """Everything one abstract-interpretation pass harvested."""
 
-    #: pc -> PUSH immediate
-    push_constants: dict = field(default_factory=dict)
     #: constants compared against tainted operands (mutation dictionary)
     compare_constants: set = field(default_factory=set)
     #: SLOAD pc -> constant slot (None when the slot is computed)
     storage_reads: dict = field(default_factory=dict)
     #: SSTORE pc -> constant slot (None when the slot is computed)
     storage_writes: dict = field(default_factory=dict)
-    #: constant slots whose value reaches a JUMPI condition, with the pc
-    branch_read_slots: set = field(default_factory=set)  # (jumpi_pc, slot)
-    #: (sstore_pc, slot) pairs with a read-after-write self-dependency
-    #: (the stored value is tainted by an SLOAD of the same slot)
-    self_dep_slots: set = field(default_factory=set)
-    #: dispatcher mapping: selector word -> function-entry pc
-    selector_entries: dict = field(default_factory=dict)
     #: BugClass value -> set of candidate pcs
     candidates: dict = field(default_factory=dict)
     #: CALL-family sites, keyed by pc (facts refine monotonically)
@@ -163,9 +151,6 @@ class AbstractFacts:
 def interpret(cfg: CFG) -> AbstractFacts:
     """Run the abstract interpreter over ``cfg`` and return its facts."""
     facts = AbstractFacts()
-    for ins in cfg.instructions:
-        if ins.operand is not None:
-            facts.push_constants[ins.pc] = ins.operand
     if not cfg.blocks:
         return facts
 
@@ -242,13 +227,8 @@ def _transfer(block, state: AbsState, facts: AbstractFacts) -> AbsState:
         if op in (Op.LT, Op.GT, Op.SLT, Op.SGT, Op.EQ):
             a, b = pop(), pop()
             _harvest_compare(facts, a, b)
-            if op == Op.EQ:
-                sel = _dispatch_compare(a, b)
-                if sel is not None:
-                    push(("cmpsel", sel))
-                    continue
-                if "balance" in tags_of(a) | tags_of(b):
-                    facts.add_candidate("SE", pc)
+            if op == Op.EQ and "balance" in tags_of(a) | tags_of(b):
+                facts.add_candidate("SE", pc)
             if "origin" in tags_of(a) | tags_of(b):
                 facts.add_candidate("TO", pc)
             push(fold_binary(op, a, b))
@@ -314,11 +294,10 @@ def _transfer(block, state: AbsState, facts: AbstractFacts) -> AbsState:
                 push(_unk(tags_of(slot)))
             continue
         if op == Op.SSTORE:
-            slot, value = pop(), pop()
+            slot = pop()
+            pop()  # the stored value
             if slot[0] == "const":
                 facts.storage_writes[pc] = slot[1]
-                if ("slot", slot[1]) in tags_of(value):
-                    facts.self_dep_slots.add((pc, slot[1]))
             else:
                 facts.storage_writes[pc] = None
             continue
@@ -342,17 +321,8 @@ def _transfer(block, state: AbsState, facts: AbstractFacts) -> AbsState:
             continue
         if op == Op.JUMPI:
             pop()  # target (statically resolved by the CFG)
-            cond = pop()
-            if cond[0] == "cmpsel":
-                target = _static_taken_target(block)
-                if target is not None:
-                    facts.selector_entries.setdefault(cond[1], target)
-            cond_tags = tags_of(cond)
-            if "block" in cond_tags:
+            if "block" in tags_of(pop()):
                 facts.add_candidate("BD", pc)
-            for tag in cond_tags:
-                if isinstance(tag, tuple) and tag[0] == "slot":
-                    facts.branch_read_slots.add((pc, tag[1]))
             continue
 
         if op == Op.CALL:
@@ -452,14 +422,6 @@ def _harvest_compare(facts: AbstractFacts, a: tuple, b: tuple) -> None:
                 facts.compare_constants.add(const[1])
 
 
-def _dispatch_compare(a: tuple, b: tuple) -> int | None:
-    """Selector value when this is the dispatcher's ``EQ(sel, calldata@0)``."""
-    for const, other in ((a, b), (b, a)):
-        if const[0] == "const" and other[0] == "calldata" and other[1] == 0:
-            return const[1]
-    return None
-
-
 def _call_fact(pc: int, op: str, gas: tuple, to: tuple,
                value: tuple | None) -> CallFact:
     fact = CallFact(pc=pc, op=op)
@@ -478,13 +440,3 @@ def _call_fact(pc: int, op: str, gas: tuple, to: tuple,
                 t if isinstance(t, str) else f"slot{t[1]}"
                 for t in tags_of(value)))
     return fact
-
-
-def _static_taken_target(block) -> int | None:
-    """The JUMPI's statically-known taken edge (PUSH immediately before)."""
-    if len(block.instructions) < 2:
-        return None
-    maybe_push = block.instructions[-2]
-    if is_push(maybe_push.opcode):
-        return maybe_push.operand
-    return None

@@ -1,4 +1,4 @@
-"""Branch-distance aggregation helpers (sFuzz feedback, §IV-B)."""
+"""Per-trace branch distances (sFuzz feedback, §IV-B)."""
 
 from __future__ import annotations
 
@@ -28,33 +28,3 @@ def distances_from_trace(trace: ExecutionTrace) -> dict:
             out[key] = dist
     return out
 
-
-def branch_distance_summary(traces) -> dict:
-    """Aggregate :func:`distances_from_trace` over many traces (min wins)."""
-    out: dict = {}
-    for trace in traces:
-        for key, dist in distances_from_trace(trace).items():
-            if dist < out.get(key, UNSEEN_DISTANCE):
-                out[key] = dist
-    return out
-
-
-def seed_distance(trace: ExecutionTrace, target) -> int:
-    """Distance of one execution to a target branch direction.
-
-    ``target`` is ``(address, jumpi_pc, desired_taken)``.  Returns
-    :data:`UNSEEN_DISTANCE` when the execution never reached the JUMPI.
-    """
-    address, pc, desired = target
-    best = UNSEEN_DISTANCE
-    for event in trace.branches:
-        if event.address != address or event.pc != pc:
-            continue
-        if event.taken == desired:
-            return 0
-        dist = event.distance_to_flip
-        if dist is None:
-            dist = 1
-        if dist < best:
-            best = dist
-    return best

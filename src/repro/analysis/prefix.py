@@ -53,29 +53,19 @@ class PrefixAnalyzer:
     :class:`~repro.evm.analysis.CodeAnalysis` record, so every campaign
     over one code shares that CFG and the reachability fixpoint memoized
     on it.  When a :class:`~repro.analysis.surface.VulnerabilitySurface`
-    is supplied, two of its whole-code facts also short-circuit the
-    per-branch work: if no vulnerable opcode exists anywhere in the code,
-    every reachability query is the empty set without touching the CFG;
-    and per-bug-class candidate pcs become queryable via
-    :meth:`candidate_pcs`.
+    is supplied, its whole-code opcode set short-circuits the per-branch
+    work: if no vulnerable opcode exists anywhere in the code, every
+    reachability query is the empty set without touching the CFG.
     """
 
     def __init__(self, runtime_code: bytes, surface=None) -> None:
         self.cfg: CFG = analyze_code(runtime_code).cfg
-        self.surface = surface
         self._cache: dict[int, BranchReachability] = {}
         #: whole-code absence proof: reachable ⊆ present, so an empty
         #: intersection here makes every per-branch query pointless
         self._any_vulnerable = (
             surface is None
             or bool(frozenset(surface.opcodes) & VULNERABLE_OPCODES))
-
-    def candidate_pcs(self, bug_class) -> tuple:
-        """Surface-derived candidate pcs for ``bug_class`` (empty without
-        a surface)."""
-        if self.surface is None:
-            return ()
-        return self.surface.candidates_for(bug_class)
 
     def reachability(self, jumpi_pc: int) -> BranchReachability:
         """Vulnerable-opcode reachability for the JUMPI at ``jumpi_pc``."""

@@ -6,14 +6,17 @@ abstract-interpretation pass (:mod:`repro.analysis.absint`) into a
 
 * **liveness** — which of the nine bug classes can possibly fire in this
   bytecode, with a human-readable proof for every ``dead`` verdict,
-* **per-selector storage facts** — read/write/branch-read slot sets per
-  external function, the bytecode-level counterpart of the AST dataflow
-  (printed by ``repro analyze``),
 * **mutation dictionary** — PUSH immediates plus constants the code
   compares against tainted (input-derived) values,
-* **candidate pcs** — per bug class, the program points an oracle for that
-  class could trigger on (consumed by the energy scheduler's prefix
-  analysis).
+* **report fields** — per bug class, the program points an oracle for
+  that class could trigger on (candidate pcs), CALL-family sites, constant
+  storage slots read and written, and the compare harvest on its own.
+  They fall out of the same interpretation pass; only ``repro analyze``
+  prints them.
+
+A campaign reads the opcode set (the prefix analyzer's fast path and the
+ether-freezing oracle), the liveness proofs (oracle pruning; the
+static-analyzer models read them too) and the dictionary.
 
 The soundness contract
 ----------------------
@@ -39,8 +42,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 
-from repro.analysis.absint import AbstractFacts, interpret
-from repro.analysis.cfg import CFG
+from repro.analysis.absint import interpret
 from repro.evm.analysis import analyze_code
 from repro.evm.opcodes import Op, mnemonic
 from repro.telemetry import metrics as _metrics
@@ -65,24 +67,6 @@ _DICT_MAX = 1 << 130
 
 
 @dataclass(frozen=True)
-class SelectorFacts:
-    """Bytecode-level dataflow facts for one external function."""
-
-    selector: int
-    entry_pc: int
-    reads: tuple = ()         # constant slots SLOADed in the body
-    writes: tuple = ()        # constant slots SSTOREd in the body
-    branch_reads: tuple = ()  # constant slots feeding a JUMPI condition
-    self_deps: tuple = ()     # slots with a read-after-write self-dep
-
-    def to_dict(self) -> dict:
-        return {"selector": self.selector, "entry_pc": self.entry_pc,
-                "reads": list(self.reads), "writes": list(self.writes),
-                "branch_reads": list(self.branch_reads),
-                "self_deps": list(self.self_deps)}
-
-
-@dataclass(frozen=True)
 class VulnerabilitySurface:
     """Everything the static layer proved or harvested for one bytecode."""
 
@@ -96,8 +80,6 @@ class VulnerabilitySurface:
     dead: tuple
     #: dead class code -> opcode-absence proof (human-readable)
     proofs: dict
-    #: selector -> :class:`SelectorFacts`
-    selectors: dict
     #: merged mutation dictionary (PUSH harvest + compare harvest), sorted
     dictionary_constants: tuple
     #: constants compared against tainted operands, sorted
@@ -121,11 +103,6 @@ class VulnerabilitySurface:
         """Can an oracle for ``bug_class`` (code or enum) possibly fire?"""
         return getattr(bug_class, "value", bug_class) not in self.proofs
 
-    def candidates_for(self, bug_class) -> tuple:
-        """Sorted candidate pcs for ``bug_class`` (code or enum)."""
-        code = getattr(bug_class, "value", bug_class)
-        return self.candidate_pcs.get(code, ())
-
     def to_dict(self) -> dict:
         """Deterministic wire form (the ``repro analyze --json`` report)."""
         return {
@@ -135,8 +112,6 @@ class VulnerabilitySurface:
             "live": list(self.live),
             "dead": list(self.dead),
             "proofs": dict(sorted(self.proofs.items())),
-            "selectors": {format(sel, "#010x"): facts.to_dict()
-                          for sel, facts in sorted(self.selectors.items())},
             "dictionary_constants": list(self.dictionary_constants),
             "compare_constants": list(self.compare_constants),
             "candidate_pcs": {code: list(pcs) for code, pcs
@@ -182,50 +157,6 @@ def _liveness_proofs(ops: frozenset) -> dict:
     return proofs
 
 
-def _reachable_block_starts(cfg: CFG, entry_pc: int) -> frozenset:
-    """Start pcs of every block statically reachable from ``entry_pc``."""
-    origin = cfg.block_at(entry_pc)
-    if origin is None:
-        return frozenset()
-    seen: set[int] = set()
-    work = [origin.start]
-    while work:
-        start = work.pop()
-        if start in seen:
-            continue
-        seen.add(start)
-        block = cfg.blocks.get(start)
-        if block is not None:
-            work.extend(block.successors)
-    return frozenset(seen)
-
-
-def _selector_facts(cfg: CFG, facts: AbstractFacts) -> dict:
-    """Aggregate pc-level storage facts into per-selector slot sets."""
-    selectors: dict[int, SelectorFacts] = {}
-    for selector, entry_pc in facts.selector_entries.items():
-        reachable = _reachable_block_starts(cfg, entry_pc)
-
-        def _in_body(pc: int) -> bool:
-            block = cfg.block_at(pc)
-            return block is not None and block.start in reachable
-
-        reads = {slot for pc, slot in facts.storage_reads.items()
-                 if slot is not None and _in_body(pc)}
-        writes = {slot for pc, slot in facts.storage_writes.items()
-                  if slot is not None and _in_body(pc)}
-        branch_reads = {slot for pc, slot in facts.branch_read_slots
-                        if _in_body(pc)}
-        self_deps = {slot for pc, slot in facts.self_dep_slots
-                     if _in_body(pc)}
-        selectors[selector] = SelectorFacts(
-            selector=selector, entry_pc=entry_pc,
-            reads=tuple(sorted(reads)), writes=tuple(sorted(writes)),
-            branch_reads=tuple(sorted(branch_reads)),
-            self_deps=tuple(sorted(self_deps)))
-    return selectors
-
-
 def compute_surface(code: bytes) -> VulnerabilitySurface:
     """Analyze ``code`` over its record's CFG (use :func:`surface_for`,
     which computes the surface once per code)."""
@@ -259,7 +190,6 @@ def compute_surface(code: bytes) -> VulnerabilitySurface:
         live=live,
         dead=dead,
         proofs=proofs,
-        selectors=_selector_facts(cfg, facts),
         dictionary_constants=tuple(sorted(push_harvest | compare_harvest)),
         compare_constants=tuple(sorted(facts.compare_constants)),
         candidate_pcs=candidate_pcs,

@@ -401,6 +401,12 @@ def cmd_fuzz(args) -> int:
         from repro.engine.checkpoint import checkpoint_fingerprint
         checkpoint_path = (args.checkpoint_file
                            or args.file + ".checkpoint.json")
+        checkpoint_dir = os.path.dirname(checkpoint_path) or "."
+        if args.checkpoint_every is not None and not os.path.isdir(
+                checkpoint_dir):
+            log.error(f"error: --checkpoint-file {checkpoint_path}: "
+                      f"directory {checkpoint_dir} does not exist")
+            return 2
         session = CheckpointSession(
             checkpoint_path,
             checkpoint_fingerprint(artifact.source, artifact.name, config),
@@ -428,12 +434,17 @@ def cmd_fuzz(args) -> int:
         fuzzer = Fuzzer(artifact, config, disable=disable)
 
     run_kwargs = session.run_kwargs() if session else {}
-    if args.metrics:
-        from repro.telemetry.progress import TelemetrySession
-        with TelemetrySession() as telemetry:
+    try:
+        if args.metrics:
+            from repro.telemetry.progress import TelemetrySession
+            with TelemetrySession() as telemetry:
+                result = fuzzer.run(**run_kwargs)
+        else:
             result = fuzzer.run(**run_kwargs)
-    else:
-        result = fuzzer.run(**run_kwargs)
+    except OSError as exc:  # e.g. a full disk; the last checkpoint stays
+        where = f" (checkpoint {session.path})" if session else ""
+        log.error(f"error: campaign stopped{where}: {exc}")
+        return 1
     if session is not None:
         session.complete()
 
@@ -701,20 +712,17 @@ def cmd_top(args) -> int:
 
 
 def _replay_records(paths) -> list:
-    """(path, record) pairs from record files and results directories."""
+    """(path, record) pairs from record files and results directories
+    (raises ``ValueError`` for a directory the store refuses)."""
     import json
-    from repro.orchestrator.store import CHECKPOINT_SUFFIX, TELEMETRY_SUFFIX
     from pathlib import Path
+    from repro.orchestrator.store import ResultStore
 
     records = []
     for raw in paths:
         path = Path(raw)
-        if path.is_dir():
-            files = sorted(p for p in path.glob("*.json")
-                           if not p.name.endswith(CHECKPOINT_SUFFIX)
-                           and not p.name.endswith(TELEMETRY_SUFFIX))
-        else:
-            files = [path]
+        files = (ResultStore(path).record_paths() if path.is_dir()
+                 else [path])
         for file in files:
             try:
                 record = json.loads(file.read_text())
@@ -855,22 +863,6 @@ def cmd_analyze(args) -> int:
         rows, title=f"vulnerability surface of {artifact.name} "
                     f"({surface.instruction_count} instructions)"))
     log.info("")
-
-    rows = []
-    for sel in sorted(surface.selectors):
-        facts = surface.selectors[sel]
-        fn = artifact.abi.by_selector(sel)
-        rows.append([fn.name if fn is not None else f"{sel:#010x}",
-                     ",".join(str(s) for s in facts.reads) or "-",
-                     ",".join(str(s) for s in facts.writes) or "-",
-                     ",".join(str(s) for s in facts.branch_reads) or "-",
-                     ",".join(str(s) for s in facts.self_deps) or "-"])
-    if rows:
-        log.info(format_table(
-            ["function", "read slots", "write slots", "branch reads",
-             "RAW self-deps"],
-            rows, title="per-selector storage facts (bytecode-level)"))
-        log.info("")
 
     candidates = {code: len(surface.candidate_pcs.get(code, ()))
                   for code in surface.live

@@ -141,9 +141,10 @@ class Fuzzer:
         self.budget = Budget.from_config(self.config)
         #: the static vulnerability surface (computed once per bytecode):
         #: liveness proofs gate oracle pruning, the constant harvest feeds
-        #: the mutation dictionary, and candidate pcs feed the prefix
-        #: analyzer — the facts are computed whether or not pruning is on,
-        #: so the ``surface_pruning`` layer toggles *only* the oracle drop
+        #: the mutation dictionary, and the opcode set fast-paths the
+        #: prefix analyzer — the facts are computed whether or not pruning
+        #: is on, so the ``surface_pruning`` layer toggles *only* the
+        #: oracle drop
         self.surface = surface_for(artifact.runtime_code)
         self.dataflow = analyze_contract(artifact.contract_ast)
         self.prefix = PrefixAnalyzer(artifact.runtime_code,

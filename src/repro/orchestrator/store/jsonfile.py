@@ -94,7 +94,9 @@ class JsonResultStore:
         """Where the orchestrator publishes live matrix progress."""
         return self.root / LIVE_TELEMETRY_NAME
 
-    def _record_paths(self):
+    def record_paths(self) -> list:
+        """The record files, sorted: every ``*.json`` but checkpoints and
+        live telemetry."""
         return sorted(path for path in self.root.glob("*.json")
                       if not path.name.endswith(CHECKPOINT_SUFFIX)
                       and not path.name.endswith(TELEMETRY_SUFFIX))
@@ -156,12 +158,12 @@ class JsonResultStore:
 
     def completed_ids(self) -> set:
         """Job ids holding a record (fingerprint-unchecked)."""
-        return {path.stem for path in self._record_paths()}
+        return {path.stem for path in self.record_paths()}
 
     def canonical_records(self) -> dict:
         """``job_id`` → exact canonical record text, for every record."""
         out = {}
-        for path in self._record_paths():
+        for path in self.record_paths():
             try:
                 out[path.stem] = path.read_text()
             except OSError:  # raced with a concurrent delete

@@ -14,11 +14,7 @@ from repro.analysis.surface import (
     compute_surface,
     surface_for,
 )
-from repro.analysis.distance import (
-    UNSEEN_DISTANCE,
-    distances_from_trace,
-    seed_distance,
-)
+from repro.analysis.distance import distances_from_trace
 from repro.compiler import compile_source
 from repro.evm import analysis as evm_analysis
 from repro.evm.analysis import analyze_code
@@ -278,14 +274,6 @@ class TestDistances:
         trace = self._trace_with_branch(dist_true=None, dist_false=None)
         assert distances_from_trace(trace)[(1, 5, True)] == 1
 
-    def test_seed_distance_zero_when_covered(self):
-        trace = self._trace_with_branch(taken=True)
-        assert seed_distance(trace, (1, 5, True)) == 0
-
-    def test_seed_distance_unseen(self):
-        trace = self._trace_with_branch()
-        assert seed_distance(trace, (1, 999, True)) == UNSEEN_DISTANCE
-
 
 # -- vulnerability surface: per-class dead/live contract pairs (PR 8) ---------
 #
@@ -486,20 +474,3 @@ class TestSurfaceCache:
         a = compute_surface(artifact.runtime_code).to_dict()
         b = compute_surface(artifact.runtime_code).to_dict()
         assert a == b
-
-
-class TestSurfaceSelectorFacts:
-    """``repro analyze`` prints the bytecode-level per-selector facts
-    beside the source-level data flow; the two agree on Crowdsale."""
-
-    def test_repeat_candidates_match_source_analysis(self):
-        artifact = compile_source(CROWDSALE_SOURCE)
-        selectors = compute_surface(artifact.runtime_code).selectors
-        branch_slots = {slot for facts in selectors.values()
-                        for slot in facts.branch_reads}
-        # a RAW self-dependency on a slot some branch reads
-        repeat = {artifact.abi.by_selector(sel).name
-                  for sel, facts in selectors.items()
-                  if branch_slots.intersection(facts.self_deps)}
-        ast_flow = analyze_contract(artifact.contract_ast)
-        assert repeat == ast_flow.repeat_candidates() == {"invest"}

@@ -35,6 +35,23 @@ class TestCli:
         assert "repeat candidates: ['invest']" in out
         assert "invested" in out
 
+    def test_analyze_reports_surface_and_source_dataflow(self, capsys,
+                                                         crowdsale_file):
+        """``--json`` prints one object with exactly the surface report's
+        keys; the text mode shows the source-level data flow, which is
+        the one per-function storage table."""
+        import json
+        report = json.loads(run_cli(capsys, "analyze", crowdsale_file,
+                                    "--json"))
+        assert set(report) == {
+            "code_size", "instruction_count", "opcodes", "live", "dead",
+            "proofs", "dictionary_constants", "compare_constants",
+            "candidate_pcs", "calls", "read_slots", "write_slots"}
+        out = run_cli(capsys, "analyze", crowdsale_file)
+        assert "source-level data-flow analysis of Crowdsale" in out
+        assert "repeat candidates: ['invest']" in out
+        assert "bytecode-level" not in out
+
     def test_fuzz(self, capsys, crowdsale_file):
         out = run_cli(capsys, "fuzz", crowdsale_file,
                       "--iterations", "30", "--seed", "3")
@@ -135,6 +152,24 @@ class TestCli:
             main(["bogus"])
 
 
+def enospc_on_fsync(monkeypatch, call: int) -> None:
+    """Make the ``call``-th ``os.fsync`` from now on fail as on a full
+    disk; ``monkeypatch.undo()`` restores the real one."""
+    import errno
+    import os
+
+    real_fsync = os.fsync
+    calls = []
+
+    def fsync(fd):
+        calls.append(fd)
+        if len(calls) == call:
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+        return real_fsync(fd)
+
+    monkeypatch.setattr(os, "fsync", fsync)
+
+
 def strip_wall_time(fuzz_output: str) -> str:
     """The fuzz summary line minus its wall-clock suffix (timing is
     environment noise; everything else must be deterministic)."""
@@ -163,6 +198,17 @@ def lockbox_file(tmp_path):
     path = tmp_path / "lockbox.sol"
     path.write_text(VULNERABLE_SOURCE)
     return str(path)
+
+
+@pytest.fixture
+def lockbox_results(capsys, tmp_path, lockbox_file):
+    """A results dir holding one Lockbox campaign record with findings."""
+    results = tmp_path / "results"
+    run_cli(capsys, "campaign", lockbox_file,
+            "--fuzzers", "mufuzz", "--trials", "1",
+            "--iterations", "40", "--workers", "1",
+            "--results-dir", str(results))
+    return results
 
 
 class TestOracleSelection:
@@ -200,14 +246,8 @@ class TestOracleSelection:
         assert "IO" in out
         assert "EF" not in out
 
-    def test_replay_retriggers_findings(self, capsys, tmp_path,
-                                        lockbox_file):
-        results = tmp_path / "results"
-        run_cli(capsys, "campaign", lockbox_file,
-                "--fuzzers", "mufuzz", "--trials", "1",
-                "--iterations", "40", "--workers", "1",
-                "--results-dir", str(results))
-        out = run_cli(capsys, "replay", str(results))
+    def test_replay_retriggers_findings(self, capsys, lockbox_results):
+        out = run_cli(capsys, "replay", str(lockbox_results))
         assert "retriggered" in out
         assert "missed" not in out
 
@@ -216,6 +256,26 @@ class TestOracleSelection:
         bogus.write_text("{}")
         assert main(["replay", str(bogus)]) == 2
         assert "not a campaign result record" in capsys.readouterr().err
+
+    def test_replay_dir_skips_checkpoint_and_telemetry_files(
+            self, capsys, lockbox_results):
+        (record,) = lockbox_results.glob("*.json")
+        (lockbox_results / f"{record.stem}.checkpoint.json").write_text("{}")
+        (lockbox_results / "live.telemetry.json").write_text("{}")
+        out = run_cli(capsys, "replay", str(lockbox_results))
+        assert "retriggered" in out and "missed" not in out
+
+    def test_replay_refuses_leftover_sqlite_store(self, capsys,
+                                                  lockbox_results):
+        """A results dir holding a ``results.db`` gets the store's
+        one-line refusal, as ``repro report`` does."""
+        (lockbox_results / "results.db").write_bytes(b"")
+        assert main(["replay", str(lockbox_results)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ")
+        assert "results.db" in captured.err
+        assert len(captured.err.strip().splitlines()) == 1
+        assert "witness replay" not in captured.out
 
 
 #: (command, fault) pairs for the bad-FILE test: every command that
@@ -430,6 +490,45 @@ class TestCheckpointFlags:
         assert "no matching checkpoint" in out
         assert checkpoint.read_text() == foreign
 
+    def test_fuzz_rejects_checkpoint_in_missing_directory(self, capsys,
+                                                          tmp_path,
+                                                          crowdsale_file):
+        """A checkpoint file whose directory does not exist is refused
+        before the campaign starts, not at its first checkpoint."""
+        missing = tmp_path / "missing"
+        assert main(["fuzz", crowdsale_file, "--iterations", "5",
+                     "--checkpoint-every", "2",
+                     "--checkpoint-file", str(missing / "x.json")]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: --checkpoint-file ")
+        assert len(captured.err.strip().splitlines()) == 1
+        assert "branch coverage" not in captured.out
+        assert not missing.exists()
+
+    def test_fuzz_checkpoint_disk_full_is_bounded_and_reported(
+            self, capsys, tmp_path, crowdsale_file, monkeypatch):
+        """ENOSPC on the second checkpoint (the 3rd fsync: each write
+        fsyncs its file, then its directory) ends the campaign with one
+        error line naming the checkpoint and exit 1, leaves no temporary
+        behind, and a rerun with --resume continues from the first
+        checkpoint."""
+        checkpoint = tmp_path / "fuzz.checkpoint.json"
+        argv = ["fuzz", crowdsale_file, "--iterations", "30", "--seed", "3",
+                "--checkpoint-every", "5", "--checkpoint-file",
+                str(checkpoint)]
+        enospc_on_fsync(monkeypatch, 3)
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert len(err.strip().splitlines()) == 1
+        assert "No space left" in err and str(checkpoint) in err
+        assert not list(tmp_path.glob("*.tmp"))
+        assert checkpoint.exists()
+
+        monkeypatch.undo()
+        assert "resumed from" in run_cli(capsys, *argv, "--resume")
+        assert not checkpoint.exists()
+
 
 class TestKillAndResume:
     """True interrupt/resume: SIGKILL a running CLI process mid-campaign,
@@ -548,28 +647,16 @@ class TestResultsDirFailures:
         fsyncs its file, then its directory) ends the campaign with one
         error line and exit 1, keeps the record already saved, leaves no
         temporary behind, and a rerun after the fault resumes from it."""
-        import errno
-        import os
-
         results = tmp_path / "results"
         argv = ["campaign", crowdsale_file, "--fuzzers", "mufuzz",
                 "--trials", "3", "--iterations", "15", "--workers", "1",
                 "--results-dir", str(results)]
-        real_fsync = os.fsync
-        calls = []
-
-        def fsync(fd):
-            calls.append(fd)
-            if len(calls) == 3:
-                raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
-            return real_fsync(fd)
-
-        monkeypatch.setattr(os, "fsync", fsync)
+        enospc_on_fsync(monkeypatch, 3)
         assert main(argv) == 1
         err = capsys.readouterr().err
         assert "No space left" in err and str(results) in err
         assert not list(results.glob("*.tmp"))
         assert len(list(results.glob("*.json"))) == 1
 
-        monkeypatch.setattr(os, "fsync", real_fsync)
+        monkeypatch.undo()
         assert "1 cached, 2 executed" in run_cli(capsys, *argv)
