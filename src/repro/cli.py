@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import argparse
 import os
+import signal
 import sys
 
 from repro.analysis.dataflow import analyze_contract
@@ -272,6 +273,26 @@ class _InputError(Exception):
     reports it as one ``error:`` line and exits 2."""
 
 
+class _Terminated(KeyboardInterrupt):
+    """SIGTERM, raised as an interrupt; :func:`main` exits 143 on it and
+    130 on a plain :class:`KeyboardInterrupt` (SIGINT)."""
+
+
+def _raise_terminated(signum, frame):
+    raise _Terminated
+
+
+def _missing_directory(flag: str, path: str) -> bool:
+    """True (and one ``error:`` line logged) when the directory ``path``
+    is to be written in does not exist; checked before a campaign starts,
+    so a bad path costs nothing."""
+    directory = os.path.dirname(path) or "."
+    if os.path.isdir(directory):
+        return False
+    log.error(f"error: {flag} {path}: directory {directory} does not exist")
+    return True
+
+
 def _read(path: str) -> str:
     try:
         with open(path) as handle:
@@ -377,6 +398,8 @@ def cmd_fuzz(args) -> int:
                   "--checkpoint-every N (write checkpoints) or --resume "
                   "(read one)")
         return 2
+    if args.metrics and _missing_directory("--metrics", args.metrics):
+        return 2
 
     artifact = _load(args)
     overrides = _budget_overrides(args, default_iterations=300)
@@ -401,11 +424,8 @@ def cmd_fuzz(args) -> int:
         from repro.engine.checkpoint import checkpoint_fingerprint
         checkpoint_path = (args.checkpoint_file
                            or args.file + ".checkpoint.json")
-        checkpoint_dir = os.path.dirname(checkpoint_path) or "."
-        if args.checkpoint_every is not None and not os.path.isdir(
-                checkpoint_dir):
-            log.error(f"error: --checkpoint-file {checkpoint_path}: "
-                      f"directory {checkpoint_dir} does not exist")
+        if args.checkpoint_every is not None and _missing_directory(
+                "--checkpoint-file", checkpoint_path):
             return 2
         session = CheckpointSession(
             checkpoint_path,
@@ -500,6 +520,17 @@ def _sample_corpus(dataset: str, count: int) -> list:
 
 
 def cmd_campaign(args) -> int:
+    """Run the matrix with SIGTERM raised as an interrupt, so the pool
+    winds its workers down and :func:`main` reports it in one line; the
+    caller's handler is back in place afterwards."""
+    previous = signal.signal(signal.SIGTERM, _raise_terminated)
+    try:
+        return _run_campaign(args)
+    finally:
+        signal.signal(signal.SIGTERM, previous)
+
+
+def _run_campaign(args) -> int:
     from repro.orchestrator import (
         backend_for,
         fuzzer_coverage_bars,
@@ -508,6 +539,8 @@ def cmd_campaign(args) -> int:
         run_matrix,
     )
 
+    if args.metrics and _missing_directory("--metrics", args.metrics):
+        return 2
     try:
         oracles = _parse_oracles(args.oracles)
     except ValueError as exc:
@@ -958,6 +991,10 @@ def main(argv=None) -> int:
     except _InputError as exc:
         log.error(f"error: {exc}")
         return 2
+    except KeyboardInterrupt as exc:
+        log.error("error: interrupted")
+        return 128 + (signal.SIGTERM if isinstance(exc, _Terminated)
+                      else signal.SIGINT)
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -7,11 +7,12 @@ machine, both settling byte-identical results:
     everything in the calling process — the debugging mode and the
     determinism reference; no isolation, no timeouts.
 ``pool`` (default)
-    persistent worker processes pulling jobs from the scheduler, each
-    with a warm per-process compile cache, with per-job timeouts and
-    crash isolation via kill-and-respawn.  ``recycle_after=1`` gives
-    every job a fresh process: no state of any kind survives between
-    jobs, at the price of a worker boot and a cold compile per job.
+    persistent worker processes, forked from the scheduler, pulling
+    jobs from it, each with a warm per-process compile cache, with
+    per-job timeouts and crash isolation via kill-and-respawn.
+    ``recycle_after=1`` gives every job a fresh fork: no state of any
+    kind survives between jobs, at the price of a fork and a cold
+    compile per job.
 
 ``create_backend(None, ...)`` auto-selects: inline for the explicit
 single-worker no-timeout debugging mode, otherwise the pool.

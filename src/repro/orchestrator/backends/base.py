@@ -8,7 +8,7 @@ Three pieces live here:
 * :class:`ExecutionBackend` — the protocol a backend implements (validate
   the batch, run it, expose run-level ``stats``);
 * :class:`SchedulerCore` — the result-side bookkeeping of the worker
-  pool: the spawn context, the shared results queue, first-wins
+  pool: the fork context, the shared results queue, first-wins
   settlement, and a *blocking* drain that sleeps in
   ``Queue.get(timeout=...)`` instead of spinning on a poll interval.
 """
@@ -286,20 +286,23 @@ class ExecutionBackend:
 class SchedulerCore:
     """Result-side state of the worker-pool scheduler.
 
-    Owns the ``spawn`` context, the shared results queue, and settlement:
-    first outcome wins (a result racing a timeout termination must not
-    settle the same job twice — double progress callbacks and a final
-    state contradicting the live log), and the drain tolerates the mangled
-    queue items a worker terminated mid-``put`` can leave behind (the
-    documented multiprocessing caveat) — the owning job settles via the
-    timeout or crash path instead of taking the whole matrix down.
+    Owns the ``fork`` context (a worker starts as a copy of this process,
+    with every module already imported), the shared results queue, and
+    settlement: first outcome wins (a result racing a timeout termination
+    must not settle the same job twice — double progress callbacks and a
+    final state contradicting the live log), and the drain tolerates the
+    mangled queue items a worker terminated mid-``put`` can leave behind
+    (the documented multiprocessing caveat) — the owning job settles via
+    the timeout or crash path instead of taking the whole matrix down.
     """
 
     def __init__(self, jobs, progress=None, on_heartbeat=None) -> None:
         self.jobs = list(jobs)
         self.by_id = {job.job_id: job for job in self.jobs}
         self.progress = progress
-        self.ctx = multiprocessing.get_context("spawn")
+        self.ctx = multiprocessing.get_context("fork")
+        # workers put and this process only reads, and reading starts no
+        # feeder thread: the scheduler stays single-threaded for its forks
         self.results_queue = self.ctx.Queue()
         self.settled: dict = {}  # job_id -> JobOutcome
         #: latest progress snapshot per in-flight job (wire dicts); a

@@ -1,9 +1,10 @@
 """The pool backend: persistent workers with warm compile caches.
 
 ``workers`` long-lived child processes each run jobs the scheduler hands
-them until the matrix is done, so interpreter boot and package import are
-paid once per worker instead of once per job.  Each worker keeps
-process-local caches keyed on the contract — the compile cache
+them until the matrix is done.  Each is forked from the scheduler, which
+has already imported everything a worker runs, so interpreter boot and
+package import are paid once per run, not once per worker.  Each worker
+keeps process-local caches keyed on the contract — the compile cache
 (:mod:`repro.compiler.cache`), and the analysis record of its bytecode
 (:mod:`repro.evm.analysis`: CFG, surface, fused programs) — so the
 scheduler dispatches by **contract affinity** (:class:`AffinityQueue`):
@@ -13,6 +14,10 @@ run, otherwise it steals the oldest pending job.  A contract fuzzed
 across presets × trials is thus set up once per matrix, plus once per
 worker that steals one of its jobs.
 
+A fork copies the scheduler, so two rules keep it safe: the scheduler
+holds no thread at any fork, and each worker undoes at boot what it
+should not inherit (:func:`_pool_worker_main`).
+
 The scheduler dispatches exactly one job at a time to each worker over a
 per-worker queue.  A worker whose result arrives is handed its next job
 before that result settles, so it runs while the parent saves the
@@ -21,21 +26,20 @@ invariant behind the pool's guarantees:
 
 * **timeouts** — a worker overrunning the per-job wall-clock budget is
   terminated, its in-flight job settles as ``timeout`` (never requeued),
-  and a replacement worker is spawned;
+  and a replacement worker is started;
 * **crash isolation** — a worker that dies settles only its in-flight job
   as ``error`` and is replaced; queued jobs are unaffected;
 * **recycling** — with ``recycle_after=K`` a worker is retired after
   completing K jobs and replaced fresh, bounding per-process memory
   growth on long matrices (at the cost of a cold compile cache; a
   retired worker's contracts count as run by no one);
-  ``recycle_after=1`` runs every job in a fresh process, the strongest
+  ``recycle_after=1`` runs every job in a fresh fork, the strongest
   isolation on offer;
 * **boot-failure breaker** — once :data:`BOOT_DEATH_LIMIT` workers in a
-  row have died before finishing any job, no more are spawned and every
+  row have died before finishing any job, no more are started and every
   pending job settles as ``error`` with :data:`BOOT_DEATH_ERROR`.  A
-  worker that cannot boot (classically: a script calling
-  ``run_matrix`` without a ``__main__`` guard, which every spawned
-  worker re-imports) would otherwise be respawned for every cell.
+  worker that cannot get through a job (the OOM killer taking each one,
+  say) would otherwise be replaced for every cell.
 
 Results are byte-identical to the inline backend at any worker count:
 job seeds derive from job identity alone, and compiled artifacts are
@@ -46,10 +50,13 @@ determinism guard in the test suite enforces this.
 from __future__ import annotations
 
 import itertools
+import signal
 import time
 from collections import Counter, deque
 from dataclasses import dataclass, field
 
+from repro.compiler.cache import clear_compile_cache
+from repro.evm import analysis
 from repro.orchestrator.backends.base import (
     SWEEP_INTERVAL,
     ExecutionBackend,
@@ -60,24 +67,32 @@ from repro.orchestrator.backends.base import (
 from repro.orchestrator.jobs import JobOutcome
 
 #: consecutive workers that may die before finishing any job before the
-#: pool stops spawning them
+#: pool stops starting them
 BOOT_DEATH_LIMIT = 3
 
-BOOT_DEATH_ERROR = (
-    f"{BOOT_DEATH_LIMIT} pool workers in a row died before finishing a "
-    f"job, so no more were spawned. Each worker re-imports the main "
-    f"module: a script that calls run_matrix must do so under "
-    f"'if __name__ == \"__main__\":'.")
+BOOT_DEATH_ERROR = (f"{BOOT_DEATH_LIMIT} pool workers in a row died before "
+                    f"finishing a job; no more were started")
 
 
 def _pool_worker_main(worker_key: int, dispatch_queue,
                       results_queue) -> None:
-    """Long-lived child entry point (module-level: spawn picklable).
+    """Long-lived child entry point, run in a fork of the scheduler.
+
+    Boot undoes what the fork copied: the compile cache and the analysis
+    records start empty, as in a fresh process; SIGTERM is back to its
+    default, so ``terminate()`` kills the worker whatever handler the
+    scheduler installed; and SIGINT is ignored, because the scheduler
+    owns interruption and winds its workers down itself.
 
     Pulls serialized jobs until the ``None`` sentinel arrives; the
     process-local compile cache stays warm across jobs.  Heartbeats share
     the results queue (tagged ``kind="heartbeat"``) and carry the worker
     key, so the scheduler can show who is doing what."""
+    signal.signal(signal.SIGTERM, signal.SIG_DFL)
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
+    clear_compile_cache()
+    analysis.clear_cache()
+
     def sink(snapshot) -> None:
         results_queue.put(heartbeat_wire(snapshot))
 
@@ -170,9 +185,14 @@ class PoolBackend(ExecutionBackend):
         keys = itertools.count()
         boot_deaths = 0  # consecutive workers dead before finishing a job
 
-        def spawn_worker() -> None:
+        def start_worker() -> None:
             key = next(keys)
-            dispatch = core.ctx.Queue()
+            # a SimpleQueue's put writes in this thread (a Queue's would
+            # start a feeder thread, and every later fork would copy a
+            # multi-threaded process); it returns at once while the job
+            # fits the pipe buffer (64 KiB on Linux, far above any
+            # corpus job), and a worker is only sent a job when idle
+            dispatch = core.ctx.SimpleQueue()
             proc = core.ctx.Process(
                 target=_pool_worker_main,
                 args=(key, dispatch, core.results_queue), daemon=True)
@@ -228,7 +248,7 @@ class PoolBackend(ExecutionBackend):
                 boot_deaths += 1
 
         def sweep() -> None:
-            """Settle timeouts and dead workers; replacements are spawned
+            """Settle timeouts and dead workers; replacements are started
             by the top-of-loop headcount."""
             for worker in list(workers.values()):
                 now = time.monotonic()
@@ -254,14 +274,15 @@ class PoolBackend(ExecutionBackend):
         try:
             while not core.all_settled():
                 if boot_deaths >= BOOT_DEATH_LIMIT:
-                    # workers cannot boot: fail what is left instead of
-                    # respawning (jobs in flight still settle as usual)
+                    # workers cannot get through a job: fail what is left
+                    # instead of replacing them (jobs in flight still
+                    # settle as usual)
                     for job in pending.take_all():
                         core.settle(JobOutcome(job=job, status="error",
                                                error=BOOT_DEATH_ERROR))
 
                 # retire idle workers that served their recycling quota
-                # (the headcount below spawns fresh replacements)
+                # (the headcount below starts fresh replacements)
                 for worker in [w for w in workers.values()
                                if w.job_id is None and quota_served(w)]:
                     retire(worker)
@@ -273,7 +294,7 @@ class PoolBackend(ExecutionBackend):
                                 if w.job_id is not None)
                 while len(workers) < min(self.workers,
                                          len(pending) + in_flight):
-                    spawn_worker()
+                    start_worker()
 
                 # dispatch one job to each idle worker; never hand work
                 # to a worker that died while idle (sweep reaps it and

@@ -2,8 +2,8 @@
 
 A :class:`CampaignJob` is one (contract, fuzzer preset, trial) cell of a
 campaign matrix.  Jobs are plain data — contract *source* rather than a
-compiled artifact — so they pickle cheaply across ``spawn`` process
-boundaries and serialize into the persistent result store.
+compiled artifact — so they pickle cheaply onto a pool worker's dispatch
+queue and serialize into the persistent result store.
 
 Per-trial RNG seeds are derived deterministically from
 ``(base_seed, contract name, preset, trial)`` via SHA-256, so the same

@@ -1,5 +1,11 @@
 """Tests for the command-line interface."""
 
+import os
+import signal
+import subprocess
+import sys
+import time
+
 import pytest
 
 from repro.cli import main
@@ -156,7 +162,6 @@ def enospc_on_fsync(monkeypatch, call: int) -> None:
     """Make the ``call``-th ``os.fsync`` from now on fail as on a full
     disk; ``monkeypatch.undo()`` restores the real one."""
     import errno
-    import os
 
     real_fsync = os.fsync
     calls = []
@@ -308,6 +313,24 @@ def test_bad_file_is_one_error_line_and_exit_2(capsys, tmp_path,
     assert err.startswith(f"error: {path}: ")
     assert len(err.strip().splitlines()) == 1
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("fuzz",),
+    ("campaign", "--fuzzers", "mufuzz", "--trials", "1", "--workers", "1")],
+    ids=["fuzz", "campaign"])
+def test_metrics_into_missing_directory_is_refused(capsys, tmp_path,
+                                                   crowdsale_file, argv):
+    """A metrics file whose directory does not exist is refused before
+    the campaign starts, not after it has run."""
+    missing = tmp_path / "missing"
+    assert main([argv[0], crowdsale_file, *argv[1:], "--iterations", "5",
+                 "--metrics", str(missing / "m.json")]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == (f"error: --metrics {missing / 'm.json'}: "
+                            f"directory {missing} does not exist\n")
+    assert captured.out == ""
+    assert not missing.exists()
 
 
 class TestPerfLayerFlag:
@@ -530,6 +553,14 @@ class TestCheckpointFlags:
         assert not checkpoint.exists()
 
 
+def _repro(*argv, cwd, **kwargs):
+    """``python -m repro ARGV`` in a fresh process, ``src`` on its path."""
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    env = {**os.environ, "PYTHONPATH": os.path.join(root, "src")}
+    return subprocess.Popen([sys.executable, "-m", "repro", *argv],
+                            cwd=cwd, env=env, **kwargs)
+
+
 class TestKillAndResume:
     """True interrupt/resume: SIGKILL a running CLI process mid-campaign,
     resume from its persisted checkpoints, and compare byte-for-byte
@@ -537,22 +568,13 @@ class TestKillAndResume:
 
     @staticmethod
     def _spawn(*argv, cwd):
-        import os
-        import subprocess
-        import sys
-        env = dict(os.environ)
-        root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-        env["PYTHONPATH"] = os.path.join(root, "src")
-        return subprocess.Popen([sys.executable, "-m", "repro", *argv],
-                                cwd=cwd, env=env,
-                                stdout=subprocess.DEVNULL,
-                                stderr=subprocess.DEVNULL)
+        return _repro(*argv, cwd=cwd, stdout=subprocess.DEVNULL,
+                      stderr=subprocess.DEVNULL)
 
     @staticmethod
     def _kill_once_checkpointed(proc, probe, timeout=60.0):
         """Wait until ``probe()`` reports a persisted checkpoint, then
         SIGKILL the process; returns False if it finished first."""
-        import time
         deadline = time.monotonic() + timeout
         while time.monotonic() < deadline:
             if probe():
@@ -615,6 +637,65 @@ class TestKillAndResume:
         ref = ResultStore(ref_dir).canonical_records()
         hot = ResultStore(hot_dir).canonical_records()
         assert ref and hot == ref
+
+
+class TestInterrupt:
+    """Ctrl-C (SIGINT to the whole process group) and SIGTERM (to the
+    scheduler alone) end a pool campaign with one error line and the
+    signal's exit code, wind every worker down, and keep every record
+    saved so far for the next run."""
+
+    @pytest.mark.parametrize("signum, to_group, code", [
+        (signal.SIGINT, True, 130), (signal.SIGTERM, False, 143)],
+        ids=["sigint-group", "sigterm-scheduler"])
+    def test_interrupted_campaign_is_one_line_and_leaves_no_worker(
+            self, capsys, tmp_path, crowdsale_file, signum, to_group, code):
+        from repro.orchestrator.store import ResultStore
+
+        results = tmp_path / "results"
+        argv = ("campaign", crowdsale_file, "--fuzzers", "mufuzz", "sfuzz",
+                "--trials", "4", "--iterations", "800", "--workers", "2",
+                "--results-dir", str(results))
+        proc = _repro(*argv, cwd=str(tmp_path), stdout=subprocess.DEVNULL,
+                      stderr=subprocess.PIPE, text=True,
+                      start_new_session=True)
+        try:
+            deadline = time.monotonic() + 60
+            while not list(results.glob("*.json")):
+                assert proc.poll() is None, "matrix ended before a record"
+                assert time.monotonic() < deadline, "no record within 60 s"
+                time.sleep(0.01)
+            if to_group:
+                os.killpg(proc.pid, signum)
+            else:
+                os.kill(proc.pid, signum)
+            _, err = proc.communicate(timeout=60)
+            assert proc.returncode == code, err[-2000:]
+            assert err.splitlines() == ["error: interrupted"], err[-2000:]
+            # the scheduler's process group empties: no worker outlives it
+            deadline = time.monotonic() + 2.0
+            while True:
+                try:
+                    os.killpg(proc.pid, 0)
+                except ProcessLookupError:
+                    break
+                assert time.monotonic() < deadline, "a worker outlived " \
+                    "the interrupted scheduler"
+                time.sleep(0.05)
+        finally:
+            try:
+                os.killpg(proc.pid, signal.SIGKILL)
+            except ProcessLookupError:
+                pass
+            proc.wait()
+
+        store = ResultStore(results)
+        saved = store.canonical_records()
+        assert 1 <= len(saved) < 8
+        assert all(store.record_for(job_id) for job_id in saved)
+        assert not list(results.glob("*.tmp"))
+        rerun = run_cli(capsys, *argv)
+        assert f"({len(saved)} cached, {8 - len(saved)} executed)" in rerun
 
 
 class TestResultsDirFailures:

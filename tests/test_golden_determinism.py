@@ -24,6 +24,9 @@ from __future__ import annotations
 
 import json
 import os
+import subprocess
+import sys
+import textwrap
 from pathlib import Path
 
 import pytest
@@ -111,6 +114,44 @@ def test_result_store_transparent_to_golden_fixture(tmp_path):
         reference.save(outcome)
     assert reference.canonical_records() == persisted, \
         "persisted records diverged from a fresh save of the same outcomes"
+
+
+@pytest.mark.skipif(os.environ.get("REPRO_TEST_WORKERS") is not None,
+                    reason="starts two interpreters: once per suite is "
+                           "enough; skip in the CI worker sweep")
+def test_pool_results_do_not_depend_on_the_hash_seed(tmp_path):
+    """Forked workers share the scheduler's hash seed, so the backend
+    parity checks above never cross hash seeds within a run.  This one
+    does it on purpose: the golden matrix on the 2-worker pool, in
+    interpreters started with different ``PYTHONHASHSEED`` values,
+    persists the golden records in both."""
+    from repro.orchestrator.store import ResultStore
+
+    root = Path(__file__).resolve().parent.parent
+    script = textwrap.dedent("""\
+        import sys
+        from repro.orchestrator import run_matrix
+        from tests.test_golden_determinism import (
+            OVERRIDES, PRESETS, _golden_contracts)
+        run = run_matrix(_golden_contracts(), presets=PRESETS, trials=1,
+                         overrides=dict(OVERRIDES), workers=2,
+                         backend="pool", results_dir=sys.argv[1])
+        sys.exit(1 if run.errors or run.timeouts else 0)
+        """)
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join([str(root / "src"), str(root)])}
+    for seed in ("0", "4242"):
+        results = tmp_path / seed
+        proc = subprocess.run(
+            [sys.executable, "-c", script, str(results)], cwd=root,
+            env={**env, "PYTHONHASHSEED": seed}, capture_output=True,
+            text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr[-2000:]
+        stored = {job_id: json.loads(text)["result"] for job_id, text
+                  in ResultStore(results).canonical_records().items()}
+        assert canonical_json(stored) == GOLDEN_PATH.read_text(), \
+            f"the pool diverged from the golden fixture at " \
+            f"PYTHONHASHSEED={seed}"
 
 
 @pytest.mark.parametrize("execution", sorted(EXECUTIONS))

@@ -7,6 +7,7 @@ import os
 import subprocess
 import sys
 import textwrap
+import threading
 
 import pytest
 
@@ -26,8 +27,8 @@ from repro.orchestrator import (
     run_matrix,
     summarize,
 )
-from repro.orchestrator.backends import PoolBackend
-from repro.orchestrator.backends.pool import AffinityQueue
+from repro.orchestrator.backends import PoolBackend, pool
+from repro.orchestrator.backends.pool import BOOT_DEATH_ERROR, AffinityQueue
 from repro.telemetry import log as tlog
 from tests.conftest import CROWDSALE_SOURCE, GAME_SOURCE
 
@@ -307,9 +308,9 @@ class TestBackends:
         """20 cells over 2 contracts: contract-affinity dispatch compiles
         each contract once per matrix, plus once when the worker that
         runs out of its own contract's jobs steals one of the other's
-        (misses <= contracts + 1), and skipping per-job interpreter boot
-        + import + compile makes the warm pool measurably faster than a
-        fresh process per job (``recycle_after=1``) at the same worker
+        (misses <= contracts + 1), and skipping a fork and a cold compile
+        and set-up per job makes the warm pool measurably faster than a
+        fresh fork per job (``recycle_after=1``) at the same worker
         count."""
         contracts = [("Crowdsale", CROWDSALE_SOURCE), ("Game", GAME_SOURCE)]
         kw = dict(presets=("mufuzz", "sfuzz"), trials=5, overrides=FAST,
@@ -536,9 +537,9 @@ class TestAffinityQueue:
 
 
 class TestParallelExecution:
-    """The worker-pool path: spawn processes, crash capture, timeouts, and
-    the determinism guard — parallel runs must persist byte-identical
-    results to a serial run of the same matrix."""
+    """The worker-pool path: workers forked from the scheduler, crash
+    capture, timeouts, and the determinism guard — parallel runs must
+    persist byte-identical results to a serial run of the same matrix."""
 
     def test_parallel_run_matches_serial_byte_for_byte(self, tmp_path):
         contracts = [("Crowdsale", CROWDSALE_SOURCE), ("Game", GAME_SOURCE)]
@@ -573,11 +574,27 @@ class TestParallelExecution:
         assert outcome.result is None
         assert "timeout" in outcome.error
 
-    def test_workers_dying_at_boot_stop_being_respawned(self, tmp_path):
-        """A script that runs a matrix without a ``__main__`` guard: every
-        spawned worker re-imports it and dies before taking a job.  After
-        three such deaths in a row the pool spawns no more workers and
-        fails the pending cells with one message naming the guard."""
+    def test_workers_dying_at_boot_stop_being_respawned(self, monkeypatch):
+        """Workers that die before finishing a job (here each forked child
+        exits at once) are replaced only until three in a row have died;
+        then the pool starts no more and fails the pending cells with the
+        breaker's message."""
+        monkeypatch.setattr(pool, "_pool_worker_main",
+                            lambda *args: os._exit(3))
+        run = run_matrix([("Crowdsale", CROWDSALE_SOURCE)],
+                         presets=("mufuzz", "sfuzz"), trials=4,
+                         overrides=FAST, workers=2, backend="pool")
+        errors = [o.error for o in run.outcomes]
+        assert len(errors) == 8
+        assert all(o.status == "error" for o in run.outcomes)
+        died = [e for e in errors if "died with exit code 3" in e]
+        tripped = [e for e in errors if e == BOOT_DEATH_ERROR]
+        assert len(died) <= 4, errors
+        assert len(died) + len(tripped) == 8, errors
+
+    def test_unguarded_script_runs_its_matrix(self, tmp_path):
+        """A forked worker never re-imports the main module, so a script
+        that runs a matrix without a ``__main__`` guard simply works."""
         script = tmp_path / "unguarded.py"
         script.write_text(textwrap.dedent(f"""\
             from repro.orchestrator import run_matrix
@@ -586,8 +603,7 @@ class TestParallelExecution:
                              overrides={FAST!r}, workers=2,
                              backend="pool")
             for outcome in run.outcomes:
-                print("outcome:", outcome.status,
-                      outcome.error.strip().splitlines()[-1])
+                print("outcome:", outcome.status)
             """))
         root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
         src = os.path.join(root, "src")
@@ -597,13 +613,44 @@ class TestParallelExecution:
         assert proc.returncode == 0, proc.stderr[-2000:]
         outcomes = [line for line in proc.stdout.splitlines()
                     if line.startswith("outcome:")]
-        assert len(outcomes) == 8
-        assert all(line.startswith("outcome: error") for line in outcomes)
-        died = [line for line in outcomes if "died with exit code" in line]
-        tripped = [line for line in outcomes
-                   if "if __name__ == \"__main__\":" in line]
-        assert len(died) <= 4, outcomes
-        assert len(died) + len(tripped) == 8, outcomes
+        assert outcomes == ["outcome: ok"] * 8, proc.stdout[-2000:]
+
+    def test_every_fork_is_single_threaded(self, monkeypatch):
+        """A fork copies only the calling thread, so the scheduler must
+        hold no other thread at any fork (a dispatch ``Queue`` would
+        start a feeder thread at its first ``put``).  Every job here
+        runs in a fresh fork, one of them after a timeout kill."""
+        threads = []
+        real_fork = os.fork
+
+        def fork():
+            threads.append(threading.active_count())
+            return real_fork()
+
+        monkeypatch.setattr(os, "fork", fork)
+        hang = _job(name="Hang", overrides={"iterations": 50_000_000})
+        jobs = [hang] + [_job(trial=t) for t in range(5)]
+        engine = create_backend("pool", workers=2, job_timeout=1.0,
+                                recycle_after=1)
+        outcomes = engine.run(jobs)
+        assert [o.status for o in outcomes] == ["timeout"] + ["ok"] * 5
+        assert engine.stats["workers_killed"] == 1
+        assert len(threads) >= len(jobs), threads
+        assert threads == [1] * len(threads), threads
+
+    def test_forked_worker_starts_with_cold_caches(self):
+        """A worker clears the caches it inherits: a contract the
+        scheduler process has already compiled and run is still a
+        compile-cache miss and an analysis-record miss in the worker."""
+        job = _job()
+        assert execute_job(job).ok  # warms this process's caches
+        engine = create_backend("pool", workers=2, telemetry=True)
+        (outcome,) = engine.run([job])
+        assert outcome.ok
+        assert engine.stats["compile_cache_misses"] == 1
+        assert engine.stats["compile_cache_hits"] == 0
+        counters = engine.telemetry_totals["counters"]
+        assert counters.get("evm.analysis_cache.misses", 0) >= 1, counters
 
 
 class TestMergeTrials:
