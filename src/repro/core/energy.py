@@ -58,20 +58,26 @@ class EnergyScheduler:
 
     # -- per-execution bookkeeping ------------------------------------------------
 
-    def record(self, trace: ExecutionTrace, target_address: int) -> None:
-        """Update hit counts (revisit scheme) and extend weights to newly
-        discovered branches."""
-        for event in trace.branches:
-            if event.address != target_address:
-                continue
-            key = (event.pc, event.taken)
-            self.hit_counts[key] = self.hit_counts.get(key, 0) + 1
-            if event.pc not in self.weights:
-                reach = self.prefix.reachability(event.pc)
+    def record(self, hits: dict) -> None:
+        """Fold one execution's branch hits into the scheduler.
+
+        ``hits`` is ``{(pc, taken): count}`` over the branches the
+        execution ran in the target contract, in first-seen order (the
+        ``hits`` half of :func:`~repro.analysis.distance.distances_from_trace`).
+        The counts feed the revisit scheme; a pc seen for the first time
+        gets a weight of :data:`NESTED_UNIT`, plus :data:`VULNERABLE_BONUS`
+        when a vulnerable instruction is reachable past it, so the cost
+        scales with the distinct edges, not with the events."""
+        counts = self.hit_counts
+        weights = self.weights
+        for edge, n in hits.items():
+            counts[edge] = counts.get(edge, 0) + n
+            pc = edge[0]
+            if pc not in weights:
+                reach = self.prefix.reachability(pc)
                 w2 = VULNERABLE_BONUS if reach.any_vulnerable else 0.0
-                self.weights[event.pc] = NESTED_UNIT + w2
-                self._max_weight = max(self._max_weight,
-                                       self.weights[event.pc])
+                weights[pc] = NESTED_UNIT + w2
+                self._max_weight = max(self._max_weight, weights[pc])
 
     # -- energy assignment ------------------------------------------------------------
 

@@ -158,6 +158,11 @@ class Fuzzer:
             strategy=self.config.energy_strategy, prefix=self.prefix,
             base_energy=self.config.base_energy,
             max_energy=self.config.max_energy)
+        #: JUMPI pcs nested inside another branch (a seed hitting one is
+        #: eligible for the masked stage)
+        self._nested_pcs = frozenset(
+            pc for pc, info in artifact.branch_info.items()
+            if info.nesting >= 1)
         self.oracles = all_oracles(self._effective_bug_classes())
         self.collector = FindingCollector()
 
@@ -366,25 +371,24 @@ class Fuzzer:
     # -- feedback ------------------------------------------------------------------------
 
     def _feedback(self, seed: Seed, trace: ExecutionTrace) -> int:
-        """Update coverage, distances and seed fitness; returns new edges."""
+        """Update coverage, distances and seed fitness; returns new edges.
+
+        One walk over the execution's branch events
+        (:func:`~repro.analysis.distance.distances_from_trace`) yields the
+        per-edge hit counts and the distance table; the energy record,
+        the seed's covered edges and its nested hits all come from the
+        distinct edges, not from the events.  ``covered_edges`` equals the
+        trace's ``branch_edges`` at the target, because the machine
+        records both at the same JUMPIs."""
         new_edges = self.coverage.add_trace(
             trace, step_multiplier=self.config.reexecution_overhead)
-        self.scheduler.record(trace, self.address)
-
-        seed.covered_edges = {(pc, taken)
-                              for addr, pc, taken in trace.branch_edges
-                              if addr == self.address}
-        seed.nested_hits = {
-            event.pc for event in trace.branches
-            if event.address == self.address
-            and self._nesting_of(event.pc) >= 1}
-
-        self.selector.observe(seed, distances_from_trace(trace))
+        hits, distances = distances_from_trace(trace, self.address)
+        self.scheduler.record(hits)
+        seed.covered_edges = set(hits)
+        nested = self._nested_pcs
+        seed.nested_hits = {pc for pc, _taken in hits if pc in nested}
+        self.selector.observe(seed, distances)
         return new_edges
-
-    def _nesting_of(self, pc: int) -> int:
-        info = self.artifact.branch_info.get(pc)
-        return info.nesting if info else 0
 
     # -- the campaign ------------------------------------------------------------------------------
 

@@ -665,9 +665,8 @@ def _emit_inline(op, pc, pending, out, sname, bname, flush, mask,
             out.append(f'    {qs} = CSH("{name}", {x}, {y}, t)')
             out.append(f"    {q} = 1 if {qs}.dist_true == 0 else 0")
         if mask & EV_COMPARE:
-            out.append(f"    ev = CE(pc={pc}, address=frame.msg.address, "
-                       f'depth=depth, op_name="{name}", lhs={x}, rhs={y}, '
-                       f"taints=t)")
+            out.append(f"    ev = CE({pc}, frame.msg.address, depth, "
+                       f'"{name}", {x}, {y}, t)')
             out.append("    m.trace.compares.append(ev)")
             out.append("    for deliver in m.sub_compare:")
             out.append("        deliver(ev, m.oracle_ctx)")
@@ -689,9 +688,8 @@ def _emit_inline(op, pc, pending, out, sname, bname, flush, mask,
             out.append(f"    raw = {e}")
             out.append(f"    {q} = raw & UM")
             out.append(f"    if raw != {q}:")
-            out.append(f"        ev = OE(pc={pc}, address=frame.msg.address, "
-                       f'depth=depth, op_name="{Op(op).name}", '
-                       f"lhs={px.vexpr}, rhs={py.vexpr}, result={q})")
+            out.append(f"        ev = OE({pc}, frame.msg.address, depth, "
+                       f'"{Op(op).name}", {px.vexpr}, {py.vexpr}, {q})')
             out.append("        m.trace.overflows.append(ev)")
             out.append("        for deliver in m.sub_overflow:")
             out.append("            deliver(ev, m.oracle_ctx)")
@@ -763,9 +761,8 @@ def _emit_inline(op, pc, pending, out, sname, bname, flush, mask,
         out.append(f"    {q}, {qs} = m.world.get_storage("
                    f"frame.msg.address, {pslot.vexpr})")
         if mask & EV_STORAGE:
-            out.append(f"    ev = SE(pc={pc}, address=frame.msg.address, "
-                       f'depth=depth, kind="read", slot={pslot.vexpr}, '
-                       f"value={q})")
+            out.append(f"    ev = SE({pc}, frame.msg.address, depth, "
+                       f'"read", {pslot.vexpr}, {q})')
             out.append("    m.trace.storage_ops.append(ev)")
             out.append("    for deliver in m.sub_storage:")
             out.append("        deliver(ev, m.oracle_ctx)")
@@ -799,10 +796,9 @@ def _emit_inline(op, pc, pending, out, sname, bname, flush, mask,
                    f"frame.msg.address, {pslot.vexpr}, {pv.vexpr}, "
                    f"{stored})")
         if mask & EV_STORAGE:
-            out.append(f"    ev = SE(pc={pc}, address=frame.msg.address, "
-                       f'depth=depth, kind="write", slot={pslot.vexpr}, '
-                       f"value={pv.vexpr}, "
-                       "after_external_call=frame.made_external_call)")
+            out.append(f"    ev = SE({pc}, frame.msg.address, depth, "
+                       f'"write", {pslot.vexpr}, {pv.vexpr}, '
+                       "frame.made_external_call)")
             out.append("    m.trace.storage_ops.append(ev)")
             out.append("    for deliver in m.sub_storage:")
             out.append("        deliver(ev, m.oracle_ctx)")
@@ -925,11 +921,9 @@ def _emit_fused_block(block, analysis, cfg, mask, ns, hname, sname, bname,
         if not mask & EV_BRANCH:
             return
         out.append("    tr = m.trace")
-        out.append(f"    ev = BE(pc={pc}, address=frame.msg.address, "
-                   f"depth=depth, condition={cond}, taken={taken}, "
-                   f"dest={dest}, taints={shadow}.taints, "
-                   f"dist_true={shadow}.dist_true, "
-                   f"dist_false={shadow}.dist_false)")
+        out.append(f"    ev = BE({pc}, frame.msg.address, depth, {cond}, "
+                   f"{taken}, {dest}, {shadow}.taints, "
+                   f"{shadow}.dist_true, {shadow}.dist_false)")
         out.append("    tr.branches.append(ev)")
         out.append("    tr.branch_edges.add("
                    f"(frame.msg.address, {pc}, {taken}))")

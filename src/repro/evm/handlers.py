@@ -105,9 +105,8 @@ def _make_wrapping_arith(name: str, compute):
         raw = compute(x, y)
         result = raw % WORD
         if raw != result and m.rec_overflow:
-            event = OverflowEvent(
-                pc=pc, address=frame.msg.address, depth=depth,
-                op_name=name, lhs=x, rhs=y, result=result)
+            event = OverflowEvent(pc, frame.msg.address, depth, name, x, y,
+                                  result)
             m.trace.overflows.append(event)
             for deliver in m.sub_overflow:
                 deliver(event, m.oracle_ctx)
@@ -203,9 +202,8 @@ def _make_comparison(name: str):
         taints = merge_taints(sx, sy)
         shadow = comparison_shadow(name, x, y, taints)
         if m.rec_compare:
-            event = CompareEvent(
-                pc=pc, address=frame.msg.address, depth=depth,
-                op_name=name, lhs=x, rhs=y, taints=taints)
+            event = CompareEvent(pc, frame.msg.address, depth, name, x, y,
+                                 taints)
             m.trace.compares.append(event)
             for deliver in m.sub_compare:
                 deliver(event, m.oracle_ctx)
@@ -468,9 +466,7 @@ def _op_sload(m, pc, frame, depth, gas):
     addr = frame.msg.address
     value, shadow = m.world.get_storage(addr, slot)
     if m.rec_storage:
-        event = StorageEvent(
-            pc=pc, address=addr, depth=depth, kind="read",
-            slot=slot, value=value)
+        event = StorageEvent(pc, addr, depth, "read", slot, value)
         m.trace.storage_ops.append(event)
         for deliver in m.sub_storage:
             deliver(event, m.oracle_ctx)
@@ -497,10 +493,8 @@ def _op_sstore(m, pc, frame, depth, gas):
         stored = Shadow(shadow.taints)
     m.world.set_storage(addr, slot, value, stored)
     if m.rec_storage:
-        event = StorageEvent(
-            pc=pc, address=addr, depth=depth, kind="write",
-            slot=slot, value=value,
-            after_external_call=frame.made_external_call)
+        event = StorageEvent(pc, addr, depth, "write", slot, value,
+                             frame.made_external_call)
         m.trace.storage_ops.append(event)
         for deliver in m.sub_storage:
             deliver(event, m.oracle_ctx)

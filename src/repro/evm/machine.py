@@ -575,10 +575,9 @@ class Machine:
                        taken: bool, dest: int, shadow: Shadow) -> None:
         if not self.rec_branch:
             return
-        event = BranchEvent(
-            pc=pc, address=address, depth=depth, condition=cond, taken=taken,
-            dest=dest, taints=shadow.taints,
-            dist_true=shadow.dist_true, dist_false=shadow.dist_false)
+        event = BranchEvent(pc, address, depth, cond, taken, dest,
+                            shadow.taints, shadow.dist_true,
+                            shadow.dist_false)
         self.trace.branches.append(event)
         self.trace.branch_edges.add((address, pc, taken))
         for tag in shadow.taints:

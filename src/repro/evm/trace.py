@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
+from typing import NamedTuple
 
 
 U256_MAX = (1 << 256) - 1
@@ -41,13 +42,19 @@ def is_call_result_tag(tag: str) -> bool:
     return isinstance(tag, str) and tag.startswith("cr:")
 
 
-@dataclass(frozen=True, slots=True)
-class Shadow:
+class Shadow(NamedTuple):
     """Taint + branch-distance metadata for one stack value.
 
     ``dist_true``/``dist_false`` are the sFuzz branch distances: how far the
     producing comparison was from evaluating true (resp. false).  ``None``
     means the value was not produced by a comparison chain.
+
+    A tuple, because the machine builds one for nearly every comparison
+    and taint merge it executes, and a tuple costs about half what a
+    frozen dataclass does to build.  It must stay immutable, because
+    interned shadows (:data:`EMPTY_SHADOW`, ``handlers.CALLDATA_SHADOW``
+    ...) are shared by every frame, and hashable by value, because fused
+    code generation interns the shadows it bakes in as constants.
     """
 
     taints: frozenset = frozenset()
@@ -161,7 +168,13 @@ EV_STATE_EFFECTS = EV_OVERFLOW | EV_STORAGE | EV_SELFDESTRUCT | EV_ETHER
 
 @dataclass(slots=True)
 class TraceEvent:
-    """Base record: where in which contract, at what call depth."""
+    """Base record: where in which contract, at what call depth.
+
+    :class:`BranchEvent`, :class:`CompareEvent`, :class:`OverflowEvent`
+    and :class:`StorageEvent` are built positionally on the EVM's hot
+    paths (fused code and the table-loop handlers), so their field order
+    is part of their interface.
+    """
 
     pc: int
     address: int
@@ -178,11 +191,6 @@ class BranchEvent(TraceEvent):
     taints: frozenset = frozenset()
     dist_true: int | None = None
     dist_false: int | None = None
-
-    @property
-    def distance_to_flip(self) -> int | None:
-        """Branch distance to the direction *not* taken this time."""
-        return self.dist_false if self.taken else self.dist_true
 
 
 @dataclass(slots=True)

@@ -19,10 +19,19 @@ holds no thread at any fork, and each worker undoes at boot what it
 should not inherit (:func:`_pool_worker_main`).
 
 The scheduler dispatches exactly one job at a time to each worker over a
-per-worker queue.  A worker whose result arrives is handed its next job
-before that result settles, so it runs while the parent saves the
-record.  The scheduler thus always knows which job a worker holds — the
-invariant behind the pool's guarantees:
+per-worker one-way pipe: the scheduler holds the write end (and keeps
+the read end open too), the worker closes its inherited copy of the
+write end at boot.  When the scheduler dies without winding its workers
+down (SIGKILL), its write end closes with it and a worker's next read
+sees EOF, so the worker exits after its in-flight job instead of
+waiting forever as an orphan.  A worker forked later holds copies of
+the write ends of the workers forked before it, so after such a death
+the workers exit in reverse fork order.
+
+A worker whose result arrives is handed its next job before that
+result settles, so it runs while the parent saves the record.  The
+scheduler thus always knows which job a worker holds — the invariant
+behind the pool's guarantees:
 
 * **timeouts** — a worker overrunning the per-job wall-clock budget is
   terminated, its in-flight job settles as ``timeout`` (never requeued),
@@ -74,22 +83,27 @@ BOOT_DEATH_ERROR = (f"{BOOT_DEATH_LIMIT} pool workers in a row died before "
                     f"finishing a job; no more were started")
 
 
-def _pool_worker_main(worker_key: int, dispatch_queue,
+def _pool_worker_main(worker_key: int, inbox, dispatch,
                       results_queue) -> None:
     """Long-lived child entry point, run in a fork of the scheduler.
 
     Boot undoes what the fork copied: the compile cache and the analysis
     records start empty, as in a fresh process; SIGTERM is back to its
     default, so ``terminate()`` kills the worker whatever handler the
-    scheduler installed; and SIGINT is ignored, because the scheduler
-    owns interruption and winds its workers down itself.
+    scheduler installed; SIGINT is ignored, because the scheduler owns
+    interruption and winds its workers down itself; and the worker
+    closes ``dispatch``, its copy of the scheduler's end of its job pipe.
 
-    Pulls serialized jobs until the ``None`` sentinel arrives; the
+    Reads serialized jobs from ``inbox`` until the ``None`` sentinel
+    arrives, or until the pipe reports EOF: every write end is then
+    closed, so the scheduler is gone (killed, say) and the worker
+    returns instead of waiting for work that cannot come.  The
     process-local compile cache stays warm across jobs.  Heartbeats share
     the results queue (tagged ``kind="heartbeat"``) and carry the worker
     key, so the scheduler can show who is doing what."""
     signal.signal(signal.SIGTERM, signal.SIG_DFL)
     signal.signal(signal.SIGINT, signal.SIG_IGN)
+    dispatch.close()
     clear_compile_cache()
     analysis.clear_cache()
 
@@ -97,7 +111,10 @@ def _pool_worker_main(worker_key: int, dispatch_queue,
         results_queue.put(heartbeat_wire(snapshot))
 
     while True:
-        job_data = dispatch_queue.get()
+        try:
+            job_data = inbox.recv()
+        except EOFError:
+            break
         if job_data is None:
             break
         wire = execute_to_wire(job_data, heartbeat_sink=sink,
@@ -169,7 +186,13 @@ class _PoolWorker:
 
     key: int
     proc: object
-    dispatch: object  # per-worker job queue (one in-flight job at a time)
+    #: the scheduler's end of the worker's job pipe (one in-flight job at
+    #: a time)
+    dispatch: object
+    #: the worker's end, held open here so that a job sent to a worker
+    #: that has already died lands in the pipe buffer (the sweep settles
+    #: it) instead of raising BrokenPipeError
+    inbox: object
     job_id: str | None = None
     started: float = field(default=0.0)
     jobs_done: int = 0
@@ -187,18 +210,19 @@ class PoolBackend(ExecutionBackend):
 
         def start_worker() -> None:
             key = next(keys)
-            # a SimpleQueue's put writes in this thread (a Queue's would
-            # start a feeder thread, and every later fork would copy a
-            # multi-threaded process); it returns at once while the job
-            # fits the pipe buffer (64 KiB on Linux, far above any
-            # corpus job), and a worker is only sent a job when idle
-            dispatch = core.ctx.SimpleQueue()
+            # a Connection's send writes in this thread (a Queue's put
+            # would start a feeder thread, and every later fork would copy
+            # a multi-threaded process); it returns at once while the job
+            # fits the pipe buffer (64 KiB on Linux, far above any corpus
+            # job), and a worker is only sent a job when idle
+            inbox, dispatch = core.ctx.Pipe(duplex=False)
             proc = core.ctx.Process(
                 target=_pool_worker_main,
-                args=(key, dispatch, core.results_queue), daemon=True)
+                args=(key, inbox, dispatch, core.results_queue),
+                daemon=True)
             proc.start()
             workers[key] = _PoolWorker(key=key, proc=proc,
-                                       dispatch=dispatch)
+                                       dispatch=dispatch, inbox=inbox)
 
         def retire(worker: _PoolWorker, kill: bool = False) -> None:
             """Remove a worker: sentinel + join for idle workers, hard
@@ -208,15 +232,16 @@ class PoolBackend(ExecutionBackend):
             if kill:
                 worker.proc.terminate()
             else:
-                worker.dispatch.put(None)
+                worker.dispatch.send(None)
             worker.proc.join()
             worker.dispatch.close()
+            worker.inbox.close()
 
         def assign(worker: _PoolWorker) -> None:
             job = pending.pick(worker.key)
             worker.job_id = job.job_id
             worker.started = time.monotonic()
-            worker.dispatch.put(self.job_payload(job))
+            worker.dispatch.send(self.job_payload(job))
 
         def quota_served(worker: _PoolWorker) -> bool:
             return (self.recycle_after is not None
@@ -312,7 +337,7 @@ class PoolBackend(ExecutionBackend):
             # still mid-job after an interrupt will not see its sentinel)
             for worker in workers.values():
                 try:
-                    worker.dispatch.put(None)
+                    worker.dispatch.send(None)
                 except Exception:
                     pass
             deadline = time.monotonic() + 1.0
@@ -323,6 +348,7 @@ class PoolBackend(ExecutionBackend):
                     worker.proc.terminate()
                     worker.proc.join()
                 worker.dispatch.close()
+                worker.inbox.close()
             core.close()
 
         return core.outcomes_in_job_order()

@@ -267,12 +267,14 @@ class TestDistances:
 
     def test_distance_to_untaken_direction(self):
         trace = self._trace_with_branch(taken=False, dist_true=7)
-        distances = distances_from_trace(trace)
+        hits, distances = distances_from_trace(trace, 1)
         assert distances[(1, 5, True)] == 7
+        assert hits == {(5, False): 1}
 
     def test_none_distance_maps_to_one(self):
         trace = self._trace_with_branch(dist_true=None, dist_false=None)
-        assert distances_from_trace(trace)[(1, 5, True)] == 1
+        _, distances = distances_from_trace(trace, 1)
+        assert distances[(1, 5, True)] == 1
 
 
 # -- vulnerability surface: per-class dead/live contract pairs (PR 8) ---------

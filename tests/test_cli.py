@@ -643,7 +643,51 @@ class TestInterrupt:
     """Ctrl-C (SIGINT to the whole process group) and SIGTERM (to the
     scheduler alone) end a pool campaign with one error line and the
     signal's exit code, wind every worker down, and keep every record
-    saved so far for the next run."""
+    saved so far for the next run.  SIGKILL of the scheduler leaves no
+    worker behind either: each sees EOF on its job pipe and exits."""
+
+    @staticmethod
+    def _launch(tmp_path, crowdsale_file, **kwargs):
+        """Start a 2-worker pool campaign in its own session and return
+        once its first record is saved: (process, argv, results dir)."""
+        results = tmp_path / "results"
+        argv = ("campaign", crowdsale_file, "--fuzzers", "mufuzz", "sfuzz",
+                "--trials", "4", "--iterations", "800", "--workers", "2",
+                "--results-dir", str(results))
+        proc = _repro(*argv, cwd=str(tmp_path), stdout=subprocess.DEVNULL,
+                      start_new_session=True, **kwargs)
+        try:
+            deadline = time.monotonic() + 60
+            while not list(results.glob("*.json")):
+                assert proc.poll() is None, "matrix ended before a record"
+                assert time.monotonic() < deadline, "no record within 60 s"
+                time.sleep(0.01)
+        except BaseException:
+            TestInterrupt._kill_group(proc)
+            raise
+        return proc, argv, results
+
+    @staticmethod
+    def _group_empties(pgid, within: float) -> bool:
+        """True once no process of group ``pgid`` is left (its leader
+        must be reaped already), False after ``within`` seconds."""
+        deadline = time.monotonic() + within
+        while True:
+            try:
+                os.killpg(pgid, 0)
+            except ProcessLookupError:
+                return True
+            if time.monotonic() >= deadline:
+                return False
+            time.sleep(0.05)
+
+    @staticmethod
+    def _kill_group(proc) -> None:
+        try:
+            os.killpg(proc.pid, signal.SIGKILL)
+        except ProcessLookupError:
+            pass
+        proc.wait()
 
     @pytest.mark.parametrize("signum, to_group, code", [
         (signal.SIGINT, True, 130), (signal.SIGTERM, False, 143)],
@@ -652,19 +696,9 @@ class TestInterrupt:
             self, capsys, tmp_path, crowdsale_file, signum, to_group, code):
         from repro.orchestrator.store import ResultStore
 
-        results = tmp_path / "results"
-        argv = ("campaign", crowdsale_file, "--fuzzers", "mufuzz", "sfuzz",
-                "--trials", "4", "--iterations", "800", "--workers", "2",
-                "--results-dir", str(results))
-        proc = _repro(*argv, cwd=str(tmp_path), stdout=subprocess.DEVNULL,
-                      stderr=subprocess.PIPE, text=True,
-                      start_new_session=True)
+        proc, argv, results = self._launch(
+            tmp_path, crowdsale_file, stderr=subprocess.PIPE, text=True)
         try:
-            deadline = time.monotonic() + 60
-            while not list(results.glob("*.json")):
-                assert proc.poll() is None, "matrix ended before a record"
-                assert time.monotonic() < deadline, "no record within 60 s"
-                time.sleep(0.01)
             if to_group:
                 os.killpg(proc.pid, signum)
             else:
@@ -673,27 +707,39 @@ class TestInterrupt:
             assert proc.returncode == code, err[-2000:]
             assert err.splitlines() == ["error: interrupted"], err[-2000:]
             # the scheduler's process group empties: no worker outlives it
-            deadline = time.monotonic() + 2.0
-            while True:
-                try:
-                    os.killpg(proc.pid, 0)
-                except ProcessLookupError:
-                    break
-                assert time.monotonic() < deadline, "a worker outlived " \
-                    "the interrupted scheduler"
-                time.sleep(0.05)
+            assert self._group_empties(proc.pid, 2.0), \
+                "a worker outlived the interrupted scheduler"
         finally:
-            try:
-                os.killpg(proc.pid, signal.SIGKILL)
-            except ProcessLookupError:
-                pass
-            proc.wait()
+            self._kill_group(proc)
 
         store = ResultStore(results)
         saved = store.canonical_records()
         assert 1 <= len(saved) < 8
         assert all(store.record_for(job_id) for job_id in saved)
         assert not list(results.glob("*.tmp"))
+        rerun = run_cli(capsys, *argv)
+        assert f"({len(saved)} cached, {8 - len(saved)} executed)" in rerun
+
+    def test_killed_scheduler_leaves_no_worker(self, capsys, tmp_path,
+                                               crowdsale_file):
+        """SIGKILL gives the scheduler no chance to wind its workers
+        down; each finishes its in-flight job, reads EOF from its job
+        pipe and exits.  A SIGKILL can land mid-write, so a leftover
+        ``*.tmp`` is allowed here: the store sweeps it when it opens."""
+        from repro.orchestrator.store import ResultStore
+
+        proc, argv, results = self._launch(
+            tmp_path, crowdsale_file, stderr=subprocess.DEVNULL)
+        try:
+            os.kill(proc.pid, signal.SIGKILL)
+            proc.wait(timeout=60)
+            assert self._group_empties(proc.pid, 10.0), \
+                "a worker outlived the killed scheduler"
+        finally:
+            self._kill_group(proc)
+
+        saved = ResultStore(results).canonical_records()
+        assert 1 <= len(saved) < 8
         rerun = run_cli(capsys, *argv)
         assert f"({len(saved)} cached, {8 - len(saved)} executed)" in rerun
 

@@ -5,6 +5,7 @@ import random
 import pytest
 
 from repro.analysis.dataflow import analyze_contract
+from repro.analysis.distance import distances_from_trace
 from repro.analysis.prefix import PrefixAnalyzer
 from repro.compiler import compile_source
 from repro.core import (
@@ -231,11 +232,14 @@ class TestEnergyScheduler:
         scheduler = self._scheduler(ENERGY_REVISIT, crowdsale_artifact)
         pc = sorted(crowdsale_artifact.branch_info)[0]
         for _ in range(10):
-            scheduler.record(self._trace([pc]), target_address=1)
+            hits, _ = distances_from_trace(self._trace([pc]), 1)
+            scheduler.record(hits)
         common = Seed(covered_edges={(pc, True)})
         rare_pc = sorted(crowdsale_artifact.branch_info)[1]
-        scheduler.record(self._trace([rare_pc]), target_address=1)
+        hits, _ = distances_from_trace(self._trace([rare_pc]), 1)
+        scheduler.record(hits)
         rare = Seed(covered_edges={(rare_pc, True)})
+        assert scheduler.hit_counts == {(pc, True): 10, (rare_pc, True): 1}
         assert scheduler.energy_for(rare) > scheduler.energy_for(common)
 
     def test_energy_capped(self, crowdsale_artifact):

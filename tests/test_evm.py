@@ -262,6 +262,31 @@ class TestMachineEnvironment:
 
 
 class TestShadows:
+    def test_shadow_is_immutable(self):
+        """Interned shadows are shared by every frame: none may change."""
+        shadow = Shadow(frozenset({Taint.CALLDATA}), 3, 0)
+        with pytest.raises(AttributeError):
+            shadow.dist_true = 0
+        with pytest.raises(AttributeError):
+            EMPTY_SHADOW.taints = frozenset({Taint.BLOCK})
+        assert EMPTY_SHADOW == Shadow(frozenset(), None, None)
+
+    def test_equal_shadows_hash_equal(self):
+        """Fused code generation interns shadows in a dict by value."""
+        shadow = Shadow(frozenset({Taint.CALLDATA}), 3, 0)
+        twin = Shadow(frozenset({Taint.CALLDATA}), 3, 0)
+        assert twin == shadow and hash(twin) == hash(shadow)
+        assert {shadow: "S0"}[twin] == "S0"
+        assert hash(Shadow()) == hash(EMPTY_SHADOW)
+        assert shadow != Shadow(frozenset({Taint.CALLDATA}), 0, 3)
+
+    def test_with_taints_and_negated(self):
+        shadow = Shadow(frozenset({Taint.CALLDATA}), 3, 0)
+        assert shadow.with_taints(frozenset()) is shadow
+        assert shadow.with_taints(frozenset({Taint.BLOCK})) == Shadow(
+            frozenset({Taint.CALLDATA, Taint.BLOCK}), 3, 0)
+        assert shadow.negated() == Shadow(frozenset({Taint.CALLDATA}), 0, 3)
+
     def test_comparison_shadow_lt(self):
         shadow = comparison_shadow("LT", 5, 3, frozenset())
         assert shadow.dist_true == 3 and shadow.dist_false == 0

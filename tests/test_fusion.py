@@ -11,6 +11,7 @@ and on superblocks that compile mid-campaign or under a reentrant frame.
 The hypothesis-based differential sweep lives in test_properties.py.
 """
 
+import dataclasses
 import sys
 from collections import Counter
 
@@ -35,7 +36,17 @@ from repro.evm.fusion import (
 )
 from repro.evm.machine import Machine, Message
 from repro.evm.opcodes import Op
-from repro.evm.trace import EV_ALL, EV_BRANCH, EV_COMPARE, EV_OVERFLOW
+from repro.evm.trace import (
+    EV_ALL,
+    EV_BRANCH,
+    EV_COMPARE,
+    EV_OVERFLOW,
+    BranchEvent,
+    CompareEvent,
+    OverflowEvent,
+    StorageEvent,
+    Taint,
+)
 from repro.orchestrator import run_matrix
 from repro.orchestrator.store import canonical_json
 from tests.conftest import ALICE
@@ -258,6 +269,66 @@ class TestThreading:
         data = (5).to_bytes(32, "big")
         res, _ = assert_differential(code, calldata=data)
         assert res.success
+
+
+# -- positional trace events ---------------------------------------------------
+
+
+#: field order of the events the EVM builds positionally (fused code and
+#: the table-loop handlers pass their arguments in exactly this order)
+POSITIONAL_FIELDS = {
+    BranchEvent: ("pc", "address", "depth", "condition", "taken", "dest",
+                  "taints", "dist_true", "dist_false"),
+    CompareEvent: ("pc", "address", "depth", "op_name", "lhs", "rhs",
+                   "taints"),
+    OverflowEvent: ("pc", "address", "depth", "op_name", "lhs", "rhs",
+                    "result"),
+    StorageEvent: ("pc", "address", "depth", "kind", "slot", "value",
+                   "after_external_call"),
+}
+
+
+class TestPositionalEvents:
+    """A reordered event dataclass must fail here, not silently swap
+    fields in generated code or in a handler."""
+
+    @pytest.mark.parametrize("cls", list(POSITIONAL_FIELDS),
+                             ids=lambda cls: cls.__name__)
+    def test_field_order_is_the_emitters_order(self, cls):
+        names = tuple(f.name for f in dataclasses.fields(cls))
+        assert names == POSITIONAL_FIELDS[cls]
+
+    @pytest.mark.parametrize("block_fusion", [True, False],
+                             ids=["fused", "table"])
+    def test_each_field_holds_its_value(self, block_fusion):
+        """Runtime operands (calldata words) keep every event off the
+        constant folder, so both tiers build all four kinds."""
+        code = asm(push1(3), push1(0), Op.CALLDATALOAD, Op.LT,  # 5 < 3
+                   push1(23), Op.JUMPI,                          # pc 8
+                   push1(32), Op.CALLDATALOAD, push1(0), Op.CALLDATALOAD,
+                   Op.ADD,                                       # pc 15
+                   push1(7), Op.SSTORE, push1(7), Op.SLOAD,      # 18, 21
+                   Op.STOP, Op.JUMPDEST, Op.STOP)
+        data = (5).to_bytes(32, "big") + (U256 - 1).to_bytes(32, "big")
+        result, machine = run_code(code, block_fusion=block_fusion,
+                                   calldata=data)
+        assert result.success
+        trace = machine.trace
+        tainted = frozenset({Taint.CALLDATA})
+        assert trace.compares == [CompareEvent(
+            pc=5, address=0xAAA, depth=0, op_name="LT", lhs=5, rhs=3,
+            taints=tainted)]
+        assert trace.branches == [BranchEvent(
+            pc=8, address=0xAAA, depth=0, condition=0, taken=False,
+            dest=23, taints=tainted, dist_true=3, dist_false=0)]
+        assert trace.overflows == [OverflowEvent(
+            pc=15, address=0xAAA, depth=0, op_name="ADD", lhs=5,
+            rhs=U256 - 1, result=4)]
+        assert trace.storage_ops == [
+            StorageEvent(pc=18, address=0xAAA, depth=0, kind="write",
+                         slot=7, value=4, after_external_call=False),
+            StorageEvent(pc=21, address=0xAAA, depth=0, kind="read",
+                         slot=7, value=4)]
 
 
 # -- tiers and bailouts -------------------------------------------------------
